@@ -25,6 +25,11 @@ long env_long(const char* name, long base) {
   return v >= 0 ? v : base;
 }
 
+int env_int(const char* name, int base) {
+  const int v = env::int_value(name, base);
+  return v >= 0 ? v : base;
+}
+
 /// How many completed idempotency keys the service remembers in memory
 /// (mirrors RequestJournal::kKeyHistoryCap for journal-less operation).
 constexpr std::size_t kKeyHistoryCap = RequestJournal::kKeyHistoryCap;
@@ -123,8 +128,7 @@ namespace {
 /// Environment-resolved copy of the caller's options (applied once, at
 /// construction — same convention as FlowEngine/BatchRunner).
 ServiceOptions resolve_options(ServiceOptions options) {
-  options.workers =
-      static_cast<int>(env_long("OLP_SERVICE_WORKERS", options.workers));
+  options.workers = env_int("OLP_SERVICE_WORKERS", options.workers);
   if (options.workers < 1) options.workers = 1;
   options.pool_threads = threads_from_env(options.pool_threads);
   options.queue.max_depth = static_cast<std::size_t>(
@@ -136,8 +140,7 @@ ServiceOptions resolve_options(ServiceOptions options) {
   const long cap = env::integer("OLP_CACHE_MAX_ENTRIES",
                                 static_cast<long>(options.cache_max_entries));
   options.cache_max_entries = cap > 0 ? static_cast<std::size_t>(cap) : 0;
-  options.max_retries =
-      static_cast<int>(env_long("OLP_SERVICE_RETRIES", options.max_retries));
+  options.max_retries = env_int("OLP_SERVICE_RETRIES", options.max_retries);
   options.snapshot_path =
       env::str("OLP_SERVICE_SNAPSHOT", options.snapshot_path);
   options.snapshot_every =

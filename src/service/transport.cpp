@@ -210,27 +210,29 @@ void TransportSupervisor::poll_loop() {
   std::vector<pollfd> fds;
   std::vector<std::shared_ptr<Conn>> polled;
 
-  // Closes a connection on the poll thread, discarding any torn frame.
+  // Closes a connection on the poll thread, discarding any torn frame. The
+  // bookkeeping lands before the fd closes, so a client that sees EOF also
+  // sees the connection gone from stats().
   auto close_conn = [&](const std::shared_ptr<Conn>& conn) {
     {
-      std::lock_guard<std::mutex> lock(conn->out_mu);
-      if (conn->fd >= 0) {
-        ::close(conn->fd);
-        conn->fd = -1;
+      std::lock_guard<std::mutex> lock(impl->mu);
+      if (conn->framer.partial_bytes() > 0) {
+        conn->framer.discard_partial();
+        ++impl->stats.torn_frames_discarded;
       }
-    }
-    std::lock_guard<std::mutex> lock(impl->mu);
-    if (conn->framer.partial_bytes() > 0) {
-      conn->framer.discard_partial();
-      ++impl->stats.torn_frames_discarded;
-    }
-    for (std::size_t i = 0; i < impl->conns.size(); ++i) {
-      if (impl->conns[i] == conn) {
-        impl->conns.erase(impl->conns.begin() + static_cast<long>(i));
-        break;
+      for (std::size_t i = 0; i < impl->conns.size(); ++i) {
+        if (impl->conns[i] == conn) {
+          impl->conns.erase(impl->conns.begin() + static_cast<long>(i));
+          break;
+        }
       }
+      impl->stats.active = impl->conns.size();
     }
-    impl->stats.active = impl->conns.size();
+    std::lock_guard<std::mutex> lock(conn->out_mu);
+    if (conn->fd >= 0) {
+      ::close(conn->fd);
+      conn->fd = -1;
+    }
   };
 
   // Queues a line the SUPERVISOR originates (reject notices) directly.

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 namespace olp::env {
 
@@ -24,6 +25,15 @@ long integer(const char* name, long fallback) {
   // a silently saturated limit is a misconfiguration, not a setting.
   if (errno == ERANGE) return fallback;
   return value;
+}
+
+int int_value(const char* name, int fallback) {
+  const long value = integer(name, fallback);
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return fallback;
+  }
+  return static_cast<int>(value);
 }
 
 double number(const char* name, double fallback) {

@@ -50,8 +50,7 @@ int resolve_num_threads(int requested) {
 }
 
 int threads_from_env(int base) {
-  return resolve_num_threads(
-      static_cast<int>(env::integer("OLP_THREADS", base)));
+  return resolve_num_threads(env::int_value("OLP_THREADS", base));
 }
 
 TaskPool::TaskPool(int threads) {

@@ -124,21 +124,15 @@ long stress(const olp::core::EvalCacheOptions& options, bool expect_full) {
 }  // namespace
 
 int main() {
-  // Phase 1: unbounded, lock-free reads (the production configuration).
-  olp::core::EvalCacheOptions rcu;
-  stress(rcu, /*expect_full=*/true);
+  // Phase 1: unbounded (the deterministic default).
+  olp::core::EvalCacheOptions unbounded;
+  stress(unbounded, /*expect_full=*/true);
 
   // Phase 2: capacity-bounded — eviction, CLOCK sweep, and snapshot
   // retirement race against the readers.
   olp::core::EvalCacheOptions bounded;
   bounded.max_entries = 64;
   stress(bounded, /*expect_full=*/false);
-
-  // Phase 3: the legacy mutex-read baseline must reconcile identically
-  // (it shares the bookkeeping, not the read path).
-  olp::core::EvalCacheOptions locked;
-  locked.locked_reads = true;
-  stress(locked, /*expect_full=*/true);
 
   if (g_failures != 0) {
     std::fprintf(stderr, "eval_cache_stress: %d failure(s)\n", g_failures);

@@ -258,20 +258,5 @@ TEST_F(BatchFlow, FailingJobNeverStopsTheBatch) {
   EXPECT_NE(batch.jobs[2].status, JobStatus::kFailed);
 }
 
-// The deprecated per-mode entry points are exact aliases of run(FlowMode).
-TEST_F(BatchFlow, DeprecatedWrappersMatchRun) {
-  FlowOptions opts;
-  const FlowEngine engine(t(), opts);
-  FlowReport run_report, legacy_report;
-  const Realization run_real = engine.run(
-      FlowMode::kOptimize, ota_->instances(), ota_->routed_nets(), &run_report);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const Realization legacy_real =
-      engine.optimize(ota_->instances(), ota_->routed_nets(), &legacy_report);
-#pragma GCC diagnostic pop
-  expect_same_flow_result(legacy_report, run_report, legacy_real, run_real);
-}
-
 }  // namespace
 }  // namespace olp::circuits

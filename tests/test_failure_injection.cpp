@@ -277,8 +277,8 @@ TEST(FailureInjection, AllCandidatesQuarantinedFallsBackToMinArea) {
 
 TEST(FailureInjection, RouterWidenedWindowRetryRecoversVerticalNet) {
   // A vertical two-pin net on a horizontal-only window fails the primary
-  // attempt; route_with_fallback must recover it on the widened window and
-  // leave warning (not error) diagnostics behind.
+  // attempt; a with_fallback request must recover it on the widened window
+  // and leave warning (not error) diagnostics behind.
   set_log_level(LogLevel::kOff);
   route::RouterOptions opt;
   opt.min_layer = 2;

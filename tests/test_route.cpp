@@ -160,8 +160,9 @@ TEST_P(RouterRandom, RandomPinsRoute) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RouterRandom, ::testing::Range(1, 17));
 
 // ---------------------------------------------------------------------------
-// The redesigned request API: one entry point, deprecated wrappers that
-// forward verbatim, and the shared detour-margin helper.
+// The request API: one entry point whose request selects the search
+// window and the widened-layer fallback, and the shared detour-margin
+// helper.
 
 void expect_same_route(const NetRoute& a, const NetRoute& b) {
   ASSERT_EQ(a.routed, b.routed);
@@ -176,51 +177,50 @@ void expect_same_route(const NetRoute& a, const NetRoute& b) {
   }
 }
 
-TEST(RouteRequest, DeprecatedWrappersForwardVerbatim) {
+TEST(RouteRequest, WindowAndFallbackRequestsRoute) {
   const std::vector<geom::Point> pins{
       geom::Point{0, 0},
       geom::Point{geom::to_nm(4e-6), geom::to_nm(3e-6)}};
-  // Fresh routers per call: routing mutates the congestion grid, so the
-  // wrapper and the request form must start from identical state.
-  GlobalRouter via_request(t(), region(10), {});
-  GlobalRouter via_wrapper(t(), region(10), {});
-  const NetRoute a = via_request.route("n", pins, RouteRequest{});
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const NetRoute b = via_wrapper.route("n", pins);
-#pragma GCC diagnostic pop
-  ASSERT_TRUE(a.routed);
-  expect_same_route(a, b);
+  // Fresh routers per call: routing mutates the congestion grid, so every
+  // request form must start from identical state.
+  GlobalRouter bare(t(), region(10), {});
+  const NetRoute want = bare.route("n", pins, RouteRequest{});
+  ASSERT_TRUE(want.routed);
 
-  GlobalRouter via_request_w(t(), region(10), {});
-  GlobalRouter via_wrapper_w(t(), region(10), {});
+  // On an empty grid the detour window holds the optimal route, and a
+  // primary attempt that succeeds never engages the fallback: both request
+  // forms reproduce the bare route.
+  GlobalRouter windowed_router(t(), region(10), {});
   RouteRequest windowed;
-  windowed.window = via_request_w.detour_window(pins);
-  const NetRoute c = via_request_w.route("n", pins, windowed);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const NetRoute d = via_wrapper_w.route_in_window(
-      "n", pins, via_wrapper_w.detour_window(pins));
-#pragma GCC diagnostic pop
-  ASSERT_TRUE(c.routed);
-  expect_same_route(c, d);
+  windowed.window = windowed_router.detour_window(pins);
+  expect_same_route(windowed_router.route("n", pins, windowed), want);
 
-  GlobalRouter via_request_f(t(), region(10), {});
-  GlobalRouter via_wrapper_f(t(), region(10), {});
+  GlobalRouter fallback_router(t(), region(10), {});
   RouteRequest with_fallback;
   with_fallback.with_fallback = true;
-  const NetRoute e = via_request_f.route("n", pins, with_fallback);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const NetRoute f = via_wrapper_f.route_with_fallback("n", pins);
-#pragma GCC diagnostic pop
-  ASSERT_TRUE(e.routed);
-  expect_same_route(e, f);
+  expect_same_route(fallback_router.route("n", pins, with_fallback), want);
+
+  // A window that excludes a pin clamps it inside: every segment stays on
+  // the window's gcells (one 200 nm gcell of halo lies below the region
+  // origin, so gcell g sits at -200 + 200 g nm).
+  GlobalRouter tight_router(t(), region(10), {});
+  RouteRequest tight;
+  tight.window = GridWindow{0, 0, 5, 5};
+  const NetRoute clamped = tight_router.route("n", pins, tight);
+  ASSERT_TRUE(clamped.routed);
+  const geom::Coord lo = -200;
+  const geom::Coord hi = -200 + 5 * 200;
+  for (const RouteSegment& seg : clamped.segments) {
+    for (const geom::Point& p : {seg.a, seg.b}) {
+      EXPECT_GE(p.x, lo);
+      EXPECT_LE(p.x, hi);
+      EXPECT_GE(p.y, lo);
+      EXPECT_LE(p.y, hi);
+    }
+  }
 }
 
 TEST(RouteRequest, DetourWindowPinsMarginSixBehavior) {
-  // The canonical margin is part of the partitioned-routing contract: the
-  // batch coloring and window-confined searches must agree on it.
   EXPECT_EQ(kDetourMarginCells, 6);
   GlobalRouter router(t(), region(20), {});
   // One gcell of halo shifts the origin by one cell: a pin at 2 um on a
@@ -238,14 +238,6 @@ TEST(RouteRequest, DetourWindowPinsMarginSixBehavior) {
   EXPECT_EQ(w.y_lo, manual.y_lo);
   EXPECT_EQ(w.x_hi, manual.x_hi);
   EXPECT_EQ(w.y_hi, manual.y_hi);
-  // And the partition plan uses the same helper by default.
-  const PartitionPlan plan =
-      partition_nets(router, {NetPins{"n", pins}});
-  ASSERT_EQ(plan.windows.size(), 1u);
-  EXPECT_EQ(plan.windows[0].x_lo, w.x_lo);
-  EXPECT_EQ(plan.windows[0].x_hi, w.x_hi);
-  EXPECT_EQ(plan.windows[0].y_lo, w.y_lo);
-  EXPECT_EQ(plan.windows[0].y_hi, w.y_hi);
 }
 
 TEST(Router, RipUpRestoresCongestionState) {
@@ -367,7 +359,7 @@ TEST(FastCore, FastCoreIsDeterministic) {
 TEST(RouterEngineApi, BackendNamesRoundTrip) {
   for (RouterBackend b :
        {RouterBackend::kClassic, RouterBackend::kFast,
-        RouterBackend::kPartitioned, RouterBackend::kNegotiated}) {
+        RouterBackend::kNegotiated}) {
     const auto parsed = parse_router_backend(router_backend_name(b));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, b);

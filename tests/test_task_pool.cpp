@@ -35,6 +35,10 @@ TEST(TaskPool, ThreadsFromEnvOverride) {
   EXPECT_EQ(threads_from_env(2), 2);  // non-numeric leaves the base
   setenv("OLP_THREADS", "", 1);
   EXPECT_EQ(threads_from_env(2), 2);
+  setenv("OLP_THREADS", "4294967297", 1);
+  EXPECT_EQ(threads_from_env(2), 2);  // out of int range leaves the base
+  setenv("OLP_THREADS", "2147483648", 1);
+  EXPECT_EQ(threads_from_env(2), 2);
   unsetenv("OLP_THREADS");
 }
 

@@ -420,6 +420,17 @@ TEST(Env, IntegerRejectsOverflow) {
     ScopedEnv e("OLP_TEST_INT", "-99999999999999999999999");
     EXPECT_EQ(env::integer("OLP_TEST_INT", 7), 7);
   }
+  // int-typed settings: a long that does not fit an int must not wrap
+  // (4294967297 would truncate to 1, 2147483648 to INT_MIN).
+  for (const char* out_of_range :
+       {"4294967297", "2147483648", "-2147483649"}) {
+    ScopedEnv e("OLP_TEST_INT", out_of_range);
+    EXPECT_EQ(env::int_value("OLP_TEST_INT", 7), 7) << out_of_range;
+  }
+  {
+    ScopedEnv e("OLP_TEST_INT", "2147483647");
+    EXPECT_EQ(env::int_value("OLP_TEST_INT", 7), 2147483647);
+  }
 }
 
 TEST(Env, NumberRejectsOverflowKeepsUnderflow) {
