@@ -1,13 +1,14 @@
 // Microbenchmarks (google-benchmark) for the substrate components: the
-// linear solver, the circuit simulator's analyses, the primitive generator,
-// the placer and the global router. These are the building blocks whose
-// speed sets the flow runtimes reported in Table VIII.
+// sparse LU on assembled MNA systems, the circuit simulator's analyses, the
+// primitive generator, the placer and the global router. These are the
+// building blocks whose speed sets the flow runtimes reported in Table VIII.
 
 #include <benchmark/benchmark.h>
 
 #include "circuits/common.hpp"
+#include "circuits/vco.hpp"
 #include "core/evaluator.hpp"
-#include "linalg/lu.hpp"
+#include "linalg/sparse_lu.hpp"
 #include "pcell/generator.hpp"
 #include "place/placer.hpp"
 #include "route/global_router.hpp"
@@ -18,24 +19,6 @@
 namespace {
 
 using namespace olp;
-
-void BM_LuSolve(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Rng rng(7);
-  linalg::RealMatrix a(n, n);
-  std::vector<double> b(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    b[i] = rng.uniform(-1, 1);
-    for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.uniform(-1, 1);
-    a(i, i) += static_cast<double>(n);  // diagonally dominant
-  }
-  for (auto _ : state) {
-    std::vector<double> x;
-    benchmark::DoNotOptimize(linalg::solve(a, b, x));
-    benchmark::DoNotOptimize(x);
-  }
-}
-BENCHMARK(BM_LuSolve)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
 
 spice::Circuit make_dp_testbench(const tech::Technology& t) {
   const pcell::PrimitiveGenerator gen(t);
@@ -59,6 +42,83 @@ spice::Circuit make_dp_testbench(const tech::Technology& t) {
   ckt.add_isource("it", ports.at("s"), 0, spice::Waveform::dc(700e-6));
   return ckt;
 }
+
+/// The systems the simulator factors, assembled by its own stamping: the
+/// RO-VCO ring's first transient step from its t=0 state (8 stages,
+/// extracted primitives at the schematic sizes, Vctrl = 0.5 V), and the
+/// diff-pair testbench's first op() iteration.
+struct Assembled {
+  linalg::SparsePattern pattern;
+  spice::MnaSystem system;
+};
+
+Assembled assemble_vco_ring() {
+  const tech::Technology t = tech::make_default_finfet_tech();
+  circuits::RoVco vco(t);
+  vco.prepare();
+  circuits::Realization real =
+      circuits::schematic_realization(vco.instances(), t);
+  real.ideal = false;
+  const spice::Circuit ckt = vco.build(real, 0.5);
+  const spice::Simulator sim(ckt);
+  std::vector<double> x = sim.op().x;
+  for (const auto& [node, v] : ckt.initial_conditions()) {
+    x[static_cast<std::size_t>(node - 1)] = v;
+  }
+  return {sim.pattern(), sim.tran_system(x, x, 1e-12, 1e-12)};
+}
+
+Assembled assemble_dp_testbench() {
+  const tech::Technology t = tech::make_default_finfet_tech();
+  const spice::Circuit ckt = make_dp_testbench(t);
+  const spice::Simulator sim(ckt);
+  const std::vector<double> x(static_cast<std::size_t>(ckt.unknown_count()),
+                              0.0);
+  return {sim.pattern(), sim.dc_system(x, 1e-12)};
+}
+
+const Assembled& assembled(int which) {
+  static const Assembled vco = assemble_vco_ring();
+  static const Assembled dp = assemble_dp_testbench();
+  return which == 0 ? vco : dp;
+}
+
+void set_lu_labels(benchmark::State& state, const Assembled& a) {
+  state.counters["n"] = a.pattern.size();
+  state.counters["nnz"] = a.pattern.nnz();
+}
+
+/// A pivoting factorization (pivot search, fill and record) plus a solve,
+/// on a fresh solver: what the first solve of every analysis costs.
+void BM_LuPivotFactorSolve(benchmark::State& state) {
+  const Assembled& a = assembled(static_cast<int>(state.range(0)));
+  std::vector<double> x;
+  for (auto _ : state) {
+    linalg::SparseLu<double> lu(a.pattern);
+    benchmark::DoNotOptimize(lu.factor(a.system.values));
+    lu.solve(a.system.rhs, x);
+    benchmark::DoNotOptimize(x.data());
+  }
+  set_lu_labels(state, a);
+}
+BENCHMARK(BM_LuPivotFactorSolve)->ArgName("vco0_dp1")->Arg(0)->Arg(1);
+
+/// Load, replayed refactorization and solve on a solver holding a record:
+/// what every later Newton iteration and time step costs.
+void BM_LuReplayFactorSolve(benchmark::State& state) {
+  const Assembled& a = assembled(static_cast<int>(state.range(0)));
+  linalg::SparseLu<double> lu(a.pattern);
+  lu.factor(a.system.values);
+  std::vector<double> x;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lu.factor(a.system.values));
+    lu.solve(a.system.rhs, x);
+    benchmark::DoNotOptimize(x.data());
+  }
+  set_lu_labels(state, a);
+  state.counters["repivots"] = static_cast<double>(lu.counts().repivot);
+}
+BENCHMARK(BM_LuReplayFactorSolve)->ArgName("vco0_dp1")->Arg(0)->Arg(1);
 
 void BM_OperatingPoint(benchmark::State& state) {
   const tech::Technology t = tech::make_default_finfet_tech();

@@ -53,9 +53,11 @@ class RoVco {
   int stages() const { return stages_; }
   const tech::Technology& technology() const { return tech_; }
 
- private:
+  /// The testbench frequency() simulates: the ring under `realization` at
+  /// control voltage `vctrl`, with the phase kick in its initial conditions.
   spice::Circuit build(const Realization& realization, double vctrl) const;
 
+ private:
   const tech::Technology& tech_;
   int stages_;
   std::vector<InstanceSpec> instances_;

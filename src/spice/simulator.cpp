@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
-#include "linalg/lu.hpp"
 #include "util/budget.hpp"
 #include "util/diag.hpp"
 #include "util/faults.hpp"
@@ -17,10 +17,133 @@ SimStats& SimStats::global() {
   return stats;
 }
 
+namespace {
+
+using Entries4 = std::array<std::pair<int, int>, 4>;
+using Entries6 = std::array<std::pair<int, int>, 6>;
+
+/// (row, col) of a conductance between nodes a and b: (a,a), (b,b), (a,b),
+/// (b,a), with ground as -1.
+Entries4 conductance_entries(NodeId a, NodeId b) {
+  return {{{a - 1, a - 1}, {b - 1, b - 1}, {a - 1, b - 1}, {b - 1, a - 1}}};
+}
+
+Entries4 vccs_entries(const Vccs& g) {
+  return {{{g.p - 1, g.cp - 1},
+           {g.p - 1, g.cn - 1},
+           {g.n - 1, g.cp - 1},
+           {g.n - 1, g.cn - 1}}};
+}
+
+/// A voltage source's branch coupling (p,br), (n,br), (br,p), (br,n).
+Entries4 branch_entries(NodeId p, NodeId n, int br) {
+  return {{{p - 1, br}, {n - 1, br}, {br, p - 1}, {br, n - 1}}};
+}
+
+Entries6 vcvs_entries(const Vcvs& e, int br) {
+  return {{{e.p - 1, br},
+           {e.n - 1, br},
+           {br, e.p - 1},
+           {br, e.n - 1},
+           {br, e.cp - 1},
+           {br, e.cn - 1}}};
+}
+
+Entries6 mos_entries(const Mosfet& m) {
+  const int d = m.d - 1, g = m.g - 1, s = m.s - 1;
+  return {{{d, g}, {d, d}, {d, s}, {s, g}, {s, d}, {s, s}}};
+}
+
+template <typename T>
+void add(std::vector<T>& v, int slot, T x) {
+  if (slot >= 0) v[static_cast<std::size_t>(slot)] += x;
+}
+
+template <typename T>
+void sub(std::vector<T>& v, int slot, T x) {
+  if (slot >= 0) v[static_cast<std::size_t>(slot)] -= x;
+}
+
+void add_rhs(std::vector<double>& b, int row, double v) {
+  if (row >= 0) b[static_cast<std::size_t>(row)] += v;
+}
+
+/// Adds one analysis' factorization counts to the registry.
+template <typename T>
+void report_counts(const linalg::SparseLu<T>& lu) {
+  const auto& c = lu.counts();
+  obs::counter_add("sim.lu.factor", c.factor);
+  obs::counter_add("sim.lu.replay", c.replay);
+  obs::counter_add("sim.lu.repivot", c.repivot);
+}
+
+}  // namespace
+
+/// One analysis' real MNA state: the base prefix (linear devices and source
+/// matrix entries, stamped once), the slot values and right-hand side of the
+/// current Newton iteration, the factorization with its recorded pivots, and
+/// the solution buffer.
+struct Simulator::Workspace {
+  explicit Workspace(const Simulator& sim)
+      : base(static_cast<std::size_t>(sim.pattern_.nnz()), 0.0),
+        b(static_cast<std::size_t>(sim.n_unknowns()), 0.0),
+        lu(sim.pattern_) {
+    sim.stamp_base(base);
+    a = base;
+  }
+
+  std::vector<double> base;
+  std::vector<double> a;
+  std::vector<double> b;
+  std::vector<double> x;
+  linalg::SparseLu<double> lu;
+};
+
 Simulator::Simulator(const Circuit& circuit, DiagnosticsSink* diagnostics,
                      Budget* budget)
     : circuit_(circuit), diag_(diagnostics), budget_(budget) {
   caps_ = gather_caps();
+
+  // The circuit does not change structurally between analyses, so the MNA
+  // pattern is fixed: every stamp any analysis makes, plus the node
+  // diagonals that gmin stamps.
+  const Circuit& ckt = circuit_;
+  const int nn = ckt.node_count() - 1;
+  const int nvs = static_cast<int>(ckt.vsources().size());
+  std::vector<std::pair<int, int>> stamps;
+  auto append = [&stamps](const auto& list) {
+    stamps.insert(stamps.end(), list.begin(), list.end());
+  };
+  res_at_ = stamps.size();
+  for (const Resistor& r : ckt.resistors()) {
+    append(conductance_entries(r.a, r.b));
+  }
+  vccs_at_ = stamps.size();
+  for (const Vccs& g : ckt.vccs()) append(vccs_entries(g));
+  vcvs_at_ = stamps.size();
+  for (std::size_t k = 0; k < ckt.vcvs().size(); ++k) {
+    append(vcvs_entries(ckt.vcvs()[k], nn + nvs + static_cast<int>(k)));
+  }
+  vsrc_at_ = stamps.size();
+  for (std::size_t k = 0; k < ckt.vsources().size(); ++k) {
+    const VSource& v = ckt.vsources()[k];
+    append(branch_entries(v.p, v.n, nn + static_cast<int>(k)));
+  }
+  mos_at_ = stamps.size();
+  for (const Mosfet& m : ckt.mosfets()) append(mos_entries(m));
+  cap_at_ = stamps.size();
+  for (const LinearCap& c : caps_) append(conductance_entries(c.a, c.b));
+  diag_at_ = stamps.size();
+  for (int k = 0; k < nn; ++k) stamps.emplace_back(k, k);
+
+  std::vector<std::pair<int, int>> entries;
+  entries.reserve(stamps.size());
+  for (const auto& [r, c] : stamps) {
+    if (r >= 0 && c >= 0) entries.emplace_back(r, c);
+  }
+  pattern_ = linalg::SparsePattern(n_unknowns(), std::move(entries));
+  slots_.reserve(stamps.size());
+  for (const auto& [r, c] : stamps) slots_.push_back(pattern_.slot(r, c));
 }
 
 double Simulator::voltage(const std::vector<double>& x, NodeId node) const {
@@ -80,71 +203,51 @@ std::vector<Simulator::LinearCap> Simulator::gather_caps() const {
   return caps;
 }
 
-namespace {
-
-/// Adds a conductance g between nodes a and b of a real MNA matrix.
-void add_g(linalg::RealMatrix& m, NodeId a, NodeId b, double g) {
-  if (a > 0) m(static_cast<std::size_t>(a - 1), static_cast<std::size_t>(a - 1)) += g;
-  if (b > 0) m(static_cast<std::size_t>(b - 1), static_cast<std::size_t>(b - 1)) += g;
-  if (a > 0 && b > 0) {
-    m(static_cast<std::size_t>(a - 1), static_cast<std::size_t>(b - 1)) -= g;
-    m(static_cast<std::size_t>(b - 1), static_cast<std::size_t>(a - 1)) -= g;
+void Simulator::stamp_base(std::vector<double>& a) const {
+  for (std::size_t k = 0; k < circuit_.resistors().size(); ++k) {
+    const double g = 1.0 / circuit_.resistors()[k].r;
+    const int* s = slots(res_at_, 4, k);
+    add(a, s[0], g);
+    add(a, s[1], g);
+    sub(a, s[2], g);
+    sub(a, s[3], g);
   }
-}
-
-void add_entry(linalg::RealMatrix& m, int row, int col, double v) {
-  if (row >= 0 && col >= 0) {
-    m(static_cast<std::size_t>(row), static_cast<std::size_t>(col)) += v;
-  }
-}
-
-void add_rhs(std::vector<double>& b, int row, double v) {
-  if (row >= 0) b[static_cast<std::size_t>(row)] += v;
-}
-
-}  // namespace
-
-void Simulator::stamp_linear(linalg::RealMatrix& a) const {
-  for (const Resistor& r : circuit_.resistors()) {
-    add_g(a, r.a, r.b, 1.0 / r.r);
-  }
-  for (const Vccs& g : circuit_.vccs()) {
-    const int p = g.p - 1, n = g.n - 1, cp = g.cp - 1, cn = g.cn - 1;
+  for (std::size_t k = 0; k < circuit_.vccs().size(); ++k) {
+    const Vccs& g = circuit_.vccs()[k];
+    const int* s = slots(vccs_at_, 4, k);
     // Current gm * v(cp,cn) flows p -> n through the source.
-    add_entry(a, p, cp, g.gm);
-    add_entry(a, p, cn, -g.gm);
-    add_entry(a, n, cp, -g.gm);
-    add_entry(a, n, cn, g.gm);
+    add(a, s[0], g.gm);
+    add(a, s[1], -g.gm);
+    add(a, s[2], -g.gm);
+    add(a, s[3], g.gm);
   }
-  const int nn = circuit_.node_count() - 1;
-  const int nvs = static_cast<int>(circuit_.vsources().size());
   for (std::size_t k = 0; k < circuit_.vcvs().size(); ++k) {
     const Vcvs& e = circuit_.vcvs()[k];
-    const int br = nn + nvs + static_cast<int>(k);
-    const int p = e.p - 1, n = e.n - 1, cp = e.cp - 1, cn = e.cn - 1;
+    const int* s = slots(vcvs_at_, 6, k);
     // Branch current unknown flows p -> n.
-    add_entry(a, p, br, 1.0);
-    add_entry(a, n, br, -1.0);
+    add(a, s[0], 1.0);
+    add(a, s[1], -1.0);
     // Branch equation: v(p) - v(n) - gain * (v(cp) - v(cn)) = 0.
-    add_entry(a, br, p, 1.0);
-    add_entry(a, br, n, -1.0);
-    add_entry(a, br, cp, -e.gain);
-    add_entry(a, br, cn, e.gain);
+    add(a, s[2], 1.0);
+    add(a, s[3], -1.0);
+    add(a, s[4], -e.gain);
+    add(a, s[5], e.gain);
+  }
+  for (std::size_t k = 0; k < circuit_.vsources().size(); ++k) {
+    const int* s = slots(vsrc_at_, 4, k);
+    add(a, s[0], 1.0);
+    add(a, s[1], -1.0);
+    add(a, s[2], 1.0);
+    add(a, s[3], -1.0);
   }
 }
 
-void Simulator::stamp_sources(linalg::RealMatrix& a, std::vector<double>& b,
-                              double t, double scale) const {
+void Simulator::stamp_source_rhs(std::vector<double>& b, double t,
+                                 double scale) const {
   const int nn = circuit_.node_count() - 1;
   for (std::size_t k = 0; k < circuit_.vsources().size(); ++k) {
     const VSource& v = circuit_.vsources()[k];
-    const int br = nn + static_cast<int>(k);
-    const int p = v.p - 1, n = v.n - 1;
-    add_entry(a, p, br, 1.0);
-    add_entry(a, n, br, -1.0);
-    add_entry(a, br, p, 1.0);
-    add_entry(a, br, n, -1.0);
-    add_rhs(b, br, scale * v.wave.value(t));
+    add_rhs(b, nn + static_cast<int>(k), scale * v.wave.value(t));
   }
   for (const ISource& i : circuit_.isources()) {
     const double val = scale * i.wave.value(t);
@@ -174,27 +277,104 @@ MosOperatingPoint Simulator::eval_mosfet(const Mosfet& m,
   return op;
 }
 
-void Simulator::stamp_mosfets(linalg::RealMatrix& a, std::vector<double>& b,
+void Simulator::stamp_mosfets(std::vector<double>& a, std::vector<double>& b,
                               const std::vector<double>& x) const {
-  for (const Mosfet& m : circuit_.mosfets()) {
+  for (std::size_t k = 0; k < circuit_.mosfets().size(); ++k) {
+    const Mosfet& m = circuit_.mosfets()[k];
     const MosOperatingPoint op = eval_mosfet(m, x);
-    const int d = m.d - 1, g = m.g - 1, s = m.s - 1;
+    const int* s = slots(mos_at_, 6, k);
     // Linearized drain current into the drain node:
     //   Id(v) = Id0 + gm (vgs - vgs0) + gds (vds - vds0)
-    add_entry(a, d, g, op.gm);
-    add_entry(a, d, d, op.gds);
-    add_entry(a, d, s, -(op.gm + op.gds));
-    add_entry(a, s, g, -op.gm);
-    add_entry(a, s, d, -op.gds);
-    add_entry(a, s, s, op.gm + op.gds);
+    add(a, s[0], op.gm);
+    add(a, s[1], op.gds);
+    add(a, s[2], -(op.gm + op.gds));
+    add(a, s[3], -op.gm);
+    add(a, s[4], -op.gds);
+    add(a, s[5], op.gm + op.gds);
     const double ieq = op.id - op.gm * op.vgs - op.gds * op.vds;
-    add_rhs(b, d, -ieq);
-    add_rhs(b, s, ieq);
+    add_rhs(b, m.d - 1, -ieq);
+    add_rhs(b, m.s - 1, ieq);
   }
 }
 
-OpResult Simulator::newton_dc(const OpOptions& options, double gmin,
-                              double source_scale,
+void Simulator::stamp_caps(std::vector<double>& a, std::vector<double>& b,
+                           const std::vector<double>& x_prev,
+                           const std::vector<double>& icap, double h,
+                           bool trapezoidal) const {
+  for (std::size_t k = 0; k < caps_.size(); ++k) {
+    const LinearCap& c = caps_[k];
+    if (c.c <= 0) continue;
+    const double va = c.a > 0 ? x_prev[static_cast<std::size_t>(c.a - 1)] : 0.0;
+    const double vb = c.b > 0 ? x_prev[static_cast<std::size_t>(c.b - 1)] : 0.0;
+    const double v_prev = va - vb;
+    double geq, ieq_into_a;
+    if (trapezoidal) {
+      geq = 2.0 * c.c / h;
+      ieq_into_a = geq * v_prev + icap[k];
+    } else {
+      geq = c.c / h;
+      ieq_into_a = geq * v_prev;
+    }
+    const int* s = slots(cap_at_, 4, k);
+    add(a, s[0], geq);
+    add(a, s[1], geq);
+    sub(a, s[2], geq);
+    sub(a, s[3], geq);
+    add_rhs(b, c.a - 1, ieq_into_a);
+    add_rhs(b, c.b - 1, -ieq_into_a);
+  }
+}
+
+void Simulator::stamp_gmin(std::vector<double>& a, double g) const {
+  const int nn = circuit_.node_count() - 1;
+  for (int k = 0; k < nn; ++k) {
+    add(a, slots_[diag_at_ + static_cast<std::size_t>(k)], g);
+  }
+}
+
+void Simulator::assemble_dc(Workspace& ws, const std::vector<double>& x,
+                            double gmin, double source_scale) const {
+  std::copy(ws.base.begin(), ws.base.end(), ws.a.begin());
+  std::fill(ws.b.begin(), ws.b.end(), 0.0);
+  stamp_source_rhs(ws.b, 0.0, source_scale);
+  stamp_mosfets(ws.a, ws.b, x);
+  stamp_gmin(ws.a, gmin);
+}
+
+void Simulator::assemble_tran(Workspace& ws, const std::vector<double>& x_prev,
+                              const std::vector<double>& x,
+                              const std::vector<double>& icap, double t,
+                              double h, bool trapezoidal) const {
+  std::copy(ws.base.begin(), ws.base.end(), ws.a.begin());
+  std::fill(ws.b.begin(), ws.b.end(), 0.0);
+  stamp_source_rhs(ws.b, t, 1.0);
+  stamp_mosfets(ws.a, ws.b, x);
+  stamp_caps(ws.a, ws.b, x_prev, icap, h, trapezoidal);
+  stamp_gmin(ws.a, 1e-12);
+}
+
+MnaSystem Simulator::dc_system(const std::vector<double>& x,
+                               double gmin) const {
+  OLP_CHECK(static_cast<int>(x.size()) == n_unknowns(), "bad iterate size");
+  Workspace ws(*this);
+  assemble_dc(ws, x, gmin, 1.0);
+  return MnaSystem{std::move(ws.a), std::move(ws.b)};
+}
+
+MnaSystem Simulator::tran_system(const std::vector<double>& x_prev,
+                                 const std::vector<double>& x, double t,
+                                 double h) const {
+  OLP_CHECK(static_cast<int>(x_prev.size()) == n_unknowns() &&
+                static_cast<int>(x.size()) == n_unknowns(),
+            "bad state size");
+  Workspace ws(*this);
+  const std::vector<double> icap(caps_.size(), 0.0);
+  assemble_tran(ws, x_prev, x, icap, t, h, false);
+  return MnaSystem{std::move(ws.a), std::move(ws.b)};
+}
+
+OpResult Simulator::newton_dc(Workspace& ws, const OpOptions& options,
+                              double gmin, double source_scale,
                               const std::vector<double>& guess) const {
   const int n = n_unknowns();
   const int nn = circuit_.node_count() - 1;
@@ -202,39 +382,26 @@ OpResult Simulator::newton_dc(const OpOptions& options, double gmin,
   if (x.empty()) x.assign(static_cast<std::size_t>(n), 0.0);
   OLP_CHECK(static_cast<int>(x.size()) == n, "bad initial guess size");
 
-  linalg::RealMatrix a(static_cast<std::size_t>(n), static_cast<std::size_t>(n));
-  std::vector<double> b(static_cast<std::size_t>(n), 0.0);
-
   OpResult result;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     // Budget-bounded Newton: unwind with the current (non-converged) state.
     if (budget_ != nullptr && budget_->check()) break;
-    a.set_zero();
-    std::fill(b.begin(), b.end(), 0.0);
-    stamp_linear(a);
-    stamp_sources(a, b, 0.0, source_scale);
-    stamp_mosfets(a, b, x);
-    for (int k = 0; k < nn; ++k) {
-      add_entry(a, k, k, gmin + options.gmin_floor);
-    }
-
-    std::vector<double> x_new;
-    if (!linalg::solve(a, b, x_new)) {
+    assemble_dc(ws, x, gmin + options.gmin_floor, source_scale);
+    if (!ws.lu.factor(ws.a)) {
       result.converged = false;
       result.iterations = iter + 1;
       result.x = std::move(x);
       return result;
     }
+    ws.lu.solve(ws.b, ws.x);
 
     // Damped update on node voltages; branch currents move freely.
-    double max_dv = 0.0;
     bool within_tol = true;
     for (int k = 0; k < n; ++k) {
       const std::size_t ks = static_cast<std::size_t>(k);
-      double delta = x_new[ks] - x[ks];
+      double delta = ws.x[ks] - x[ks];
       if (k < nn) {
         delta = std::clamp(delta, -options.damping, options.damping);
-        max_dv = std::max(max_dv, std::fabs(delta));
         if (std::fabs(delta) >
             options.vtol_abs + options.vtol_rel * std::fabs(x[ks])) {
           within_tol = false;
@@ -248,7 +415,6 @@ OpResult Simulator::newton_dc(const OpOptions& options, double gmin,
       result.x = std::move(x);
       return result;
     }
-    (void)max_dv;
   }
   result.converged = false;
   result.iterations = options.max_iterations;
@@ -257,16 +423,23 @@ OpResult Simulator::newton_dc(const OpOptions& options, double gmin,
 }
 
 OpResult Simulator::op(const OpOptions& options) const {
+  Workspace ws(*this);
+  OpResult result = op_with(ws, options);
+  report_counts(ws.lu);
+  return result;
+}
+
+OpResult Simulator::op_with(Workspace& ws, const OpOptions& options) const {
   obs::Span span("sim.op");
   obs::counter_add("sim.op");
   SimStats::global().op_count++;
-  OpResult result = op_impl(options);
+  OpResult result = op_impl(ws, options);
   obs::record("sim.op.newton_iterations", result.iterations);
   if (!result.converged) obs::counter_add("sim.op.nonconverged");
   return result;
 }
 
-OpResult Simulator::op_impl(const OpOptions& options) const {
+OpResult Simulator::op_impl(Workspace& ws, const OpOptions& options) const {
   if (FaultInjector::global().should_fail(FaultSite::kOpNonConvergence)) {
     if (diag_) {
       diag_->report(DiagSeverity::kWarning, "chaos",
@@ -280,7 +453,7 @@ OpResult Simulator::op_impl(const OpOptions& options) const {
   }
 
   // Stage 1: plain Newton from the provided guess.
-  OpResult r = newton_dc(options, 0.0, 1.0, options.initial_guess);
+  OpResult r = newton_dc(ws, options, 0.0, 1.0, options.initial_guess);
   if (r.converged) return r;
   // Budget exhausted: skip the continuation ladder, return what we have.
   if (budget_ != nullptr && budget_->check()) return r;
@@ -290,7 +463,7 @@ OpResult Simulator::op_impl(const OpOptions& options) const {
   std::vector<double> warm = options.initial_guess;
   bool chain_ok = true;
   for (double gmin = 1e-3; gmin >= 1e-12; gmin *= 1e-2) {
-    OpResult stage = newton_dc(options, gmin, 1.0, warm);
+    OpResult stage = newton_dc(ws, options, gmin, 1.0, warm);
     if (!stage.converged) {
       chain_ok = false;
       break;
@@ -298,7 +471,7 @@ OpResult Simulator::op_impl(const OpOptions& options) const {
     warm = stage.x;
   }
   if (chain_ok) {
-    OpResult final_stage = newton_dc(options, 0.0, 1.0, warm);
+    OpResult final_stage = newton_dc(ws, options, 0.0, 1.0, warm);
     if (final_stage.converged) return final_stage;
     r = final_stage;
   }
@@ -307,14 +480,14 @@ OpResult Simulator::op_impl(const OpOptions& options) const {
   // Stage 3: source stepping — ramp all independent sources from zero.
   warm.assign(static_cast<std::size_t>(n_unknowns()), 0.0);
   for (double scale = 0.1; scale <= 1.0 + 1e-12; scale += 0.1) {
-    OpResult stage = newton_dc(options, 1e-9, scale, warm);
+    OpResult stage = newton_dc(ws, options, 1e-9, scale, warm);
     if (!stage.converged) {
       OLP_WARN << "source stepping failed at scale " << scale;
       return stage;
     }
     warm = stage.x;
   }
-  OpResult final_stage = newton_dc(options, 0.0, 1.0, warm);
+  OpResult final_stage = newton_dc(ws, options, 0.0, 1.0, warm);
   return final_stage;
 }
 
@@ -328,6 +501,9 @@ std::vector<std::vector<double>> Simulator::dc_sweep(
                      .vsources()[static_cast<std::size_t>(vs_index)];
   const Waveform saved = src.wave;
 
+  // Source values enter only the right-hand side, so one workspace (and its
+  // recorded pivots) serves every point.
+  Workspace ws(*this);
   std::vector<std::vector<double>> solutions;
   solutions.reserve(values.size());
   OpOptions opts = options;
@@ -339,7 +515,7 @@ std::vector<std::vector<double>> Simulator::dc_sweep(
       continue;
     }
     src.wave = Waveform::dc(v);
-    const OpResult op = this->op(opts);
+    const OpResult op = op_with(ws, opts);
     if (op.converged) {
       solutions.push_back(op.x);
       opts.initial_guess = op.x;  // continuation
@@ -349,6 +525,7 @@ std::vector<std::vector<double>> Simulator::dc_sweep(
     }
   }
   src.wave = saved;
+  report_counts(ws.lu);
   return solutions;
 }
 
@@ -374,16 +551,11 @@ AcResult Simulator::ac(const std::vector<double>& op_x,
   OLP_CHECK(static_cast<int>(op_x.size()) == n, "ac needs an OP solution");
 
   using C = std::complex<double>;
-  auto addc = [&](linalg::ComplexMatrix& m, int row, int col, C v) {
-    if (row >= 0 && col >= 0) {
-      m(static_cast<std::size_t>(row), static_cast<std::size_t>(col)) += v;
-    }
-  };
-  auto addc_g = [&](linalg::ComplexMatrix& m, NodeId a, NodeId b, C g) {
-    addc(m, a - 1, a - 1, g);
-    addc(m, b - 1, b - 1, g);
-    addc(m, a - 1, b - 1, -g);
-    addc(m, b - 1, a - 1, -g);
+  auto addc_g = [](std::vector<C>& v, const int* s, C g) {
+    add(v, s[0], g);
+    add(v, s[1], g);
+    add(v, s[2], -g);
+    add(v, s[3], -g);
   };
 
   // Small-signal MOS parameters are bias-only; compute them once.
@@ -393,46 +565,49 @@ AcResult Simulator::ac(const std::vector<double>& op_x,
   result.frequencies = options.frequencies;
   result.solutions.reserve(options.frequencies.size());
 
-  linalg::ComplexMatrix a(static_cast<std::size_t>(n),
-                          static_cast<std::size_t>(n));
+  std::vector<C> a(static_cast<std::size_t>(pattern_.nnz()));
+  std::vector<C> b(static_cast<std::size_t>(n));
+  linalg::SparseLu<C> lu(pattern_);
   for (double freq : options.frequencies) {
     OLP_CHECK(freq > 0.0, "AC frequency must be positive");
     const double omega = 2.0 * M_PI * freq;
-    a.set_zero();
-    std::vector<C> b(static_cast<std::size_t>(n), C{});
+    std::fill(a.begin(), a.end(), C{});
+    std::fill(b.begin(), b.end(), C{});
 
-    for (const Resistor& r : circuit_.resistors()) {
-      addc_g(a, r.a, r.b, C{1.0 / r.r, 0.0});
+    for (std::size_t k = 0; k < circuit_.resistors().size(); ++k) {
+      addc_g(a, slots(res_at_, 4, k),
+             C{1.0 / circuit_.resistors()[k].r, 0.0});
     }
-    for (const LinearCap& c : caps_) {
-      addc_g(a, c.a, c.b, C{0.0, omega * c.c});
+    for (std::size_t k = 0; k < caps_.size(); ++k) {
+      addc_g(a, slots(cap_at_, 4, k), C{0.0, omega * caps_[k].c});
     }
-    for (const Vccs& g : circuit_.vccs()) {
-      addc(a, g.p - 1, g.cp - 1, C{g.gm, 0});
-      addc(a, g.p - 1, g.cn - 1, C{-g.gm, 0});
-      addc(a, g.n - 1, g.cp - 1, C{-g.gm, 0});
-      addc(a, g.n - 1, g.cn - 1, C{g.gm, 0});
+    for (std::size_t k = 0; k < circuit_.vccs().size(); ++k) {
+      const Vccs& g = circuit_.vccs()[k];
+      const int* s = slots(vccs_at_, 4, k);
+      add(a, s[0], C{g.gm, 0});
+      add(a, s[1], C{-g.gm, 0});
+      add(a, s[2], C{-g.gm, 0});
+      add(a, s[3], C{g.gm, 0});
     }
     for (std::size_t k = 0; k < circuit_.mosfets().size(); ++k) {
-      const Mosfet& m = circuit_.mosfets()[k];
       const MosOperatingPoint& op = mos_ops[k];
-      addc(a, m.d - 1, m.g - 1, C{op.gm, 0});
-      addc(a, m.d - 1, m.d - 1, C{op.gds, 0});
-      addc(a, m.d - 1, m.s - 1, C{-(op.gm + op.gds), 0});
-      addc(a, m.s - 1, m.g - 1, C{-op.gm, 0});
-      addc(a, m.s - 1, m.d - 1, C{-op.gds, 0});
-      addc(a, m.s - 1, m.s - 1, C{op.gm + op.gds, 0});
+      const int* s = slots(mos_at_, 6, k);
+      add(a, s[0], C{op.gm, 0});
+      add(a, s[1], C{op.gds, 0});
+      add(a, s[2], C{-(op.gm + op.gds), 0});
+      add(a, s[3], C{-op.gm, 0});
+      add(a, s[4], C{-op.gds, 0});
+      add(a, s[5], C{op.gm + op.gds, 0});
     }
     for (std::size_t k = 0; k < circuit_.vsources().size(); ++k) {
       const VSource& v = circuit_.vsources()[k];
-      const int br = nn + static_cast<int>(k);
-      addc(a, v.p - 1, br, C{1, 0});
-      addc(a, v.n - 1, br, C{-1, 0});
-      addc(a, br, v.p - 1, C{1, 0});
-      addc(a, br, v.n - 1, C{-1, 0});
+      const int* s = slots(vsrc_at_, 4, k);
+      add(a, s[0], C{1, 0});
+      add(a, s[1], C{-1, 0});
+      add(a, s[2], C{1, 0});
+      add(a, s[3], C{-1, 0});
       if (v.ac_mag != 0.0) {
-        b[static_cast<std::size_t>(br)] =
-            std::polar(v.ac_mag, v.ac_phase);
+        b[static_cast<std::size_t>(nn) + k] = std::polar(v.ac_mag, v.ac_phase);
       }
     }
     for (const ISource& i : circuit_.isources()) {
@@ -441,22 +616,25 @@ AcResult Simulator::ac(const std::vector<double>& op_x,
       if (i.p > 0) b[static_cast<std::size_t>(i.p - 1)] -= val;
       if (i.n > 0) b[static_cast<std::size_t>(i.n - 1)] += val;
     }
-    const int nvs = static_cast<int>(circuit_.vsources().size());
     for (std::size_t k = 0; k < circuit_.vcvs().size(); ++k) {
       const Vcvs& e = circuit_.vcvs()[k];
-      const int br = nn + nvs + static_cast<int>(k);
-      addc(a, e.p - 1, br, C{1, 0});
-      addc(a, e.n - 1, br, C{-1, 0});
-      addc(a, br, e.p - 1, C{1, 0});
-      addc(a, br, e.n - 1, C{-1, 0});
-      addc(a, br, e.cp - 1, C{-e.gain, 0});
-      addc(a, br, e.cn - 1, C{e.gain, 0});
+      const int* s = slots(vcvs_at_, 6, k);
+      add(a, s[0], C{1, 0});
+      add(a, s[1], C{-1, 0});
+      add(a, s[2], C{1, 0});
+      add(a, s[3], C{-1, 0});
+      add(a, s[4], C{-e.gain, 0});
+      add(a, s[5], C{e.gain, 0});
     }
     // Tiny conductance to ground keeps isolated internal nodes solvable.
-    for (int k = 0; k < nn; ++k) addc(a, k, k, C{1e-12, 0});
+    for (int k = 0; k < nn; ++k) {
+      add(a, slots_[diag_at_ + static_cast<std::size_t>(k)], C{1e-12, 0});
+    }
 
     std::vector<C> x;
-    if (!linalg::solve(a, b, x)) {
+    if (lu.factor(a)) {
+      lu.solve(b, x);
+    } else {
       // Recoverable: report and emit a zero solution at this frequency so
       // callers see a degraded (not aborted) sweep.
       OLP_WARN << "AC system singular at f=" << freq;
@@ -469,14 +647,17 @@ AcResult Simulator::ac(const std::vector<double>& op_x,
     }
     result.solutions.push_back(std::move(x));
   }
+  report_counts(lu);
   return result;
 }
 
 TranResult Simulator::tran(const TranOptions& options) const {
   obs::Span span("sim.tran");
   obs::counter_add("sim.tran");
-  TranResult r = tran_attempt(options);
-  if (r.ok) return r;
+  // One workspace for the t=0 operating point and every attempt: they all
+  // stamp the same pattern, so the recorded pivots carry over.
+  Workspace ws(*this);
+  TranResult r = tran_attempt(ws, options);
 
   // Retry ladder: backward Euler (maximum damping) with a halved timestep on
   // each attempt. Engages only when an attempt reports ok=false, so flows
@@ -494,7 +675,7 @@ TranResult Simulator::tran(const TranOptions& options) const {
                         " failed; retrying with backward Euler, dt=" +
                         std::to_string(retry.dt));
     }
-    r = tran_attempt(retry);
+    r = tran_attempt(ws, retry);
   }
   if (!r.ok) {
     obs::counter_add("sim.tran.failed");
@@ -504,10 +685,12 @@ TranResult Simulator::tran(const TranOptions& options) const {
                         std::to_string(options.max_retries) + " retries");
     }
   }
+  report_counts(ws.lu);
   return r;
 }
 
-TranResult Simulator::tran_attempt(const TranOptions& options) const {
+TranResult Simulator::tran_attempt(Workspace& ws,
+                                   const TranOptions& options) const {
   obs::counter_add("sim.tran.attempts");
   SimStats::global().tran_count++;
   OLP_CHECK(options.dt > 0 && options.tstop > options.dt,
@@ -530,7 +713,7 @@ TranResult Simulator::tran_attempt(const TranOptions& options) const {
   // Initial state.
   std::vector<double> x;
   if (options.start_from_op) {
-    OpResult op0 = op();
+    OpResult op0 = op_with(ws, OpOptions{});
     if (!op0.converged) {
       OLP_WARN << "transient: t=0 operating point failed to converge";
     }
@@ -563,10 +746,6 @@ TranResult Simulator::tran_attempt(const TranOptions& options) const {
     return va - vb;
   };
 
-  linalg::RealMatrix a(static_cast<std::size_t>(n),
-                       static_cast<std::size_t>(n));
-  std::vector<double> b(static_cast<std::size_t>(n), 0.0);
-
   const double h = options.dt;
   const long steps = static_cast<long>(std::ceil(options.tstop / h));
 
@@ -577,36 +756,14 @@ TranResult Simulator::tran_attempt(const TranOptions& options) const {
                           std::vector<double>& x_out) -> bool {
     x_out = x_prev;  // warm start
     for (int iter = 0; iter < options.max_newton; ++iter) {
-      a.set_zero();
-      std::fill(b.begin(), b.end(), 0.0);
-      stamp_linear(a);
-      stamp_sources(a, b, t_at, 1.0);
-      stamp_mosfets(a, b, x_out);
-      for (std::size_t k = 0; k < caps_.size(); ++k) {
-        const LinearCap& c = caps_[k];
-        if (c.c <= 0) continue;
-        const double v_prev = cap_voltage(c, x_prev);
-        double geq, ieq_into_a;
-        if (trapezoidal) {
-          geq = 2.0 * c.c / h_at;
-          ieq_into_a = geq * v_prev + icap[k];
-        } else {
-          geq = c.c / h_at;
-          ieq_into_a = geq * v_prev;
-        }
-        add_g(a, c.a, c.b, geq);
-        add_rhs(b, c.a - 1, ieq_into_a);
-        add_rhs(b, c.b - 1, -ieq_into_a);
-      }
-      for (int k = 0; k < nn; ++k) add_entry(a, k, k, 1e-12);
-
-      std::vector<double> x_next;
-      if (!linalg::solve(a, b, x_next)) return false;
+      assemble_tran(ws, x_prev, x_out, icap, t_at, h_at, trapezoidal);
+      if (!ws.lu.factor(ws.a)) return false;
+      ws.lu.solve(ws.b, ws.x);
 
       bool within_tol = true;
       for (int k = 0; k < n; ++k) {
         const std::size_t ks = static_cast<std::size_t>(k);
-        double delta = x_next[ks] - x_out[ks];
+        double delta = ws.x[ks] - x_out[ks];
         if (k < nn) {
           delta = std::clamp(delta, -0.5, 0.5);
           if (std::fabs(delta) > 1e-7 + 1e-5 * std::fabs(x_out[ks])) {
@@ -636,6 +793,7 @@ TranResult Simulator::tran_attempt(const TranOptions& options) const {
   };
 
   long recorded = 0;
+  std::vector<double> x_new;
   for (long step = 1; step <= steps; ++step) {
     // Budget-bounded timestepping: a truncated transient is reported as
     // ok=false so callers degrade instead of trusting partial waveforms.
@@ -647,7 +805,6 @@ TranResult Simulator::tran_attempt(const TranOptions& options) const {
     // First step uses backward Euler (no valid cap-current history yet).
     const bool trapezoidal = !options.backward_euler && step > 1;
 
-    std::vector<double> x_new;
     if (newton_solve(t, h, trapezoidal, x, x_new)) {
       update_icap(trapezoidal, h, x, x_new);
     } else if (newton_solve(t, h, false, x, x_new)) {
@@ -681,7 +838,7 @@ TranResult Simulator::tran_attempt(const TranOptions& options) const {
       x_new = std::move(x_sub);
     }
 
-    x = std::move(x_new);
+    x.swap(x_new);
     ++recorded;
     if (recorded % options.record_stride == 0 || step == steps) {
       result.times.push_back(t);

@@ -5,6 +5,11 @@
 //
 // Unknown ordering: node voltages for nodes 1..N-1 first, then one branch
 // current per independent voltage source, then one per VCVS.
+//
+// The MNA matrix has one sparsity pattern per topology, built at
+// construction together with the slot of every device stamp in it. Each
+// analysis owns a workspace (slot values, right-hand side, sparse LU and
+// its recorded pivots) that its Newton iterations and time steps reuse.
 
 #include <atomic>
 #include <complex>
@@ -13,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "linalg/matrix.hpp"
+#include "linalg/sparse_lu.hpp"
 #include "spice/circuit.hpp"
 
 namespace olp {
@@ -84,6 +89,13 @@ struct TranResult {
   std::vector<std::vector<double>> samples;
 };
 
+/// One real MNA system as the analyses stamp it: the value of every slot of
+/// Simulator::pattern(), and the right-hand side.
+struct MnaSystem {
+  std::vector<double> values;
+  std::vector<double> rhs;
+};
+
 /// Process-wide analysis counters; the flow reports these in Table V / VIII.
 /// Atomic so concurrent TaskPool evaluations merge instead of racing.
 struct SimStats {
@@ -149,6 +161,21 @@ class Simulator {
 
   const Circuit& circuit() const { return circuit_; }
 
+  /// The sparsity pattern of this topology's MNA matrix (DC, AC and
+  /// transient systems all stamp into it).
+  const linalg::SparsePattern& pattern() const { return pattern_; }
+
+  /// The system one op() Newton iteration at iterate `x` solves, with
+  /// sources at their DC values and `gmin` added to every node's diagonal
+  /// (op() passes its stage's gmin plus OpOptions::gmin_floor).
+  MnaSystem dc_system(const std::vector<double>& x, double gmin) const;
+
+  /// The system a backward-Euler transient Newton iteration at iterate `x`
+  /// solves, for the step of length `h` to time `t` from the state `x_prev`.
+  MnaSystem tran_system(const std::vector<double>& x_prev,
+                        const std::vector<double>& x, double t,
+                        double h) const;
+
  private:
   struct LinearCap {
     NodeId a = 0, b = 0;
@@ -156,30 +183,49 @@ class Simulator {
     double ic = 0.0;
     bool use_ic = false;
   };
+  /// One analysis' real MNA workspace (defined in simulator.cpp).
+  struct Workspace;
 
   int n_unknowns() const { return circuit_.unknown_count(); }
-  int node_index(NodeId n) const { return n - 1; }  // valid for n > 0
 
   /// One transient attempt with the given options (no retry ladder).
-  TranResult tran_attempt(const TranOptions& options) const;
+  TranResult tran_attempt(Workspace& ws, const TranOptions& options) const;
 
+  /// op() on a caller's workspace, with op()'s instrumentation.
+  OpResult op_with(Workspace& ws, const OpOptions& options) const;
   /// op() continuation ladder without the instrumentation wrapper.
-  OpResult op_impl(const OpOptions& options) const;
+  OpResult op_impl(Workspace& ws, const OpOptions& options) const;
 
   /// One Newton solve of the DC system with sources scaled by `source_scale`
   /// and `gmin` to ground on every node. Returns convergence and iterations.
-  OpResult newton_dc(const OpOptions& options, double gmin,
+  OpResult newton_dc(Workspace& ws, const OpOptions& options, double gmin,
                      double source_scale,
                      const std::vector<double>& guess) const;
 
-  /// Stamps all static linear devices (R, VCVS, VCCS) into A.
-  void stamp_linear(linalg::RealMatrix& a) const;
-  /// Stamps independent sources at time t (or DC) scaled by `scale`.
-  void stamp_sources(linalg::RealMatrix& a, std::vector<double>& b, double t,
-                     double scale) const;
+  /// Stamps the static linear devices (R, VCCS, VCVS), then the voltage
+  /// sources' matrix entries: the prefix every real system starts from.
+  void stamp_base(std::vector<double>& a) const;
+  /// Stamps independent source values at time t (or DC) scaled by `scale`.
+  void stamp_source_rhs(std::vector<double>& b, double t, double scale) const;
   /// Stamps linearized MOSFETs around the solution `x`.
-  void stamp_mosfets(linalg::RealMatrix& a, std::vector<double>& b,
+  void stamp_mosfets(std::vector<double>& a, std::vector<double>& b,
                      const std::vector<double>& x) const;
+  /// Stamps the capacitors' companion models for a step of length `h` from
+  /// `x_prev` (trapezoidal with branch currents `icap`, else backward Euler).
+  void stamp_caps(std::vector<double>& a, std::vector<double>& b,
+                  const std::vector<double>& x_prev,
+                  const std::vector<double>& icap, double h,
+                  bool trapezoidal) const;
+  /// Adds `g` to every node's diagonal.
+  void stamp_gmin(std::vector<double>& a, double g) const;
+  /// The DC Newton system at `x`: base, source values, MOSFETs, gmin.
+  void assemble_dc(Workspace& ws, const std::vector<double>& x, double gmin,
+                   double source_scale) const;
+  /// A transient Newton system at iterate `x` for the step from `x_prev`.
+  void assemble_tran(Workspace& ws, const std::vector<double>& x_prev,
+                     const std::vector<double>& x,
+                     const std::vector<double>& icap, double t, double h,
+                     bool trapezoidal) const;
 
   /// Effective MOS terminal small-signal quantities (shared by OP/AC paths).
   MosOperatingPoint eval_mosfet(const Mosfet& m,
@@ -192,6 +238,23 @@ class Simulator {
   std::vector<LinearCap> caps_;
   DiagnosticsSink* diag_ = nullptr;
   Budget* budget_ = nullptr;
+
+  /// The slots of device k of the kind whose stamps start at `at` in
+  /// slots_, `per` stamps per device.
+  const int* slots(std::size_t at, std::size_t per, std::size_t k) const {
+    return slots_.data() + at + per * k;
+  }
+
+  // The MNA pattern and the slot of every stamp, device by device in stamp
+  // order (-1 where a terminal is ground). Resistors and caps stamp (a,a),
+  // (b,b), (a,b), (b,a); VCCS (p,cp), (p,cn), (n,cp), (n,cn); V sources
+  // (p,br), (n,br), (br,p), (br,n), and VCVS also (br,cp), (br,cn);
+  // MOSFETs (d,g), (d,d), (d,s), (s,g), (s,d), (s,s); then (k,k) for
+  // every non-ground node.
+  linalg::SparsePattern pattern_;
+  std::vector<int> slots_;
+  std::size_t res_at_ = 0, vccs_at_ = 0, vcvs_at_ = 0, vsrc_at_ = 0,
+              mos_at_ = 0, cap_at_ = 0, diag_at_ = 0;
 };
 
 }  // namespace olp::spice

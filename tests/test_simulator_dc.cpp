@@ -3,9 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+
 #include "circuits/common.hpp"
+#include "dense_lu_oracle.hpp"
 #include "spice/parser.hpp"
 #include "spice/simulator.hpp"
+#include "util/obs.hpp"
 
 namespace olp::spice {
 namespace {
@@ -254,6 +260,92 @@ R2 mid 0 1k
   const OpResult op = sim.op();
   ASSERT_TRUE(op.converged);
   EXPECT_NEAR(sim.voltage(op.x, c.find_node("mid")), 1.0, 1e-9);
+}
+
+/// A five-transistor OTA: NMOS tail mirror fed by iref, input pair, PMOS
+/// mirror load, load capacitor.
+Circuit five_transistor_ota() {
+  Circuit c;
+  const int nm = c.add_model(circuits::default_nmos());
+  const int pm = c.add_model(circuits::default_pmos());
+  const NodeId vdd = c.node("vdd"), iref = c.node("iref"),
+               tail = c.node("tail"), vip = c.node("vip"), vin = c.node("vin"),
+               d1 = c.node("d1"), out = c.node("out");
+  c.add_vsource("vdd_src", vdd, kGround, Waveform::dc(0.8));
+  c.add_vsource("vip_src", vip, kGround, Waveform::dc(0.5), 0.5, 0.0);
+  c.add_vsource("vin_src", vin, kGround, Waveform::dc(0.5), 0.5, M_PI);
+  c.add_isource("iref_src", vdd, iref, Waveform::dc(100e-6));
+  auto mos = [&](const char* name, NodeId d, NodeId g, NodeId s, NodeId b,
+                 int model, double w) {
+    Mosfet m;
+    m.name = name;
+    m.d = d, m.g = g, m.s = s, m.b = b;
+    m.model = model;
+    m.w = w;
+    m.l = 14e-9;
+    c.add_mosfet(m);
+  };
+  mos("mref", iref, iref, kGround, kGround, nm, 2e-6);
+  mos("mtail", tail, iref, kGround, kGround, nm, 2e-6);
+  mos("m1", d1, vip, tail, kGround, nm, 4e-6);
+  mos("m2", out, vin, tail, kGround, nm, 4e-6);
+  mos("m3", d1, d1, vdd, vdd, pm, 4e-6);
+  mos("m4", out, d1, vdd, vdd, pm, 4e-6);
+  c.add_capacitor("cl", out, kGround, 50e-15);
+  return c;
+}
+
+TEST(DcAssembly, OtaNewtonSystemsMatchDenseOracle) {
+  // op()'s Newton iterations on the OTA, replayed here through the same
+  // stamping: every iterate's system, factored by one solver (pivoting
+  // first, then replays), equals the dense oracle's solution bit for bit.
+  const Circuit c = five_transistor_ota();
+  const Simulator sim(c);
+  const linalg::SparsePattern& p = sim.pattern();
+  const int nn = c.node_count() - 1;
+  std::vector<double> x(static_cast<std::size_t>(c.unknown_count()), 0.0);
+  linalg::SparseLu<double> lu(p);
+  for (int iter = 0; iter < 12; ++iter) {
+    const MnaSystem sys = sim.dc_system(x, 1e-12);
+    std::vector<double> dense_x, sparse_x;
+    ASSERT_TRUE(linalg::oracle::solve(linalg::oracle::to_dense(p, sys.values),
+                                      sys.rhs, dense_x));
+    ASSERT_TRUE(lu.factor(sys.values));
+    lu.solve(sys.rhs, sparse_x);
+    ASSERT_EQ(sparse_x, dense_x) << "iteration " << iter;
+    EXPECT_EQ(0, std::memcmp(sparse_x.data(), dense_x.data(),
+                             dense_x.size() * sizeof(double)));
+    // op()'s damped update.
+    for (std::size_t k = 0; k < x.size(); ++k) {
+      double delta = dense_x[k] - x[k];
+      if (static_cast<int>(k) < nn) delta = std::clamp(delta, -0.3, 0.3);
+      x[k] += delta;
+    }
+  }
+  EXPECT_EQ(lu.counts().factor + lu.counts().replay, 12);
+  EXPECT_GE(lu.counts().replay, 6);
+  // The iteration reached op()'s answer.
+  const OpResult op = sim.op();
+  ASSERT_TRUE(op.converged);
+  EXPECT_NEAR(sim.voltage(x, c.find_node("out")),
+              sim.voltage(op.x, c.find_node("out")), 1e-6);
+}
+
+TEST(DcAssembly, OpReportsFactorizationCounters) {
+  const Circuit c = five_transistor_ota();
+  const Simulator sim(c);
+  obs::Registry::global().enable();
+  const OpResult op = sim.op();
+  const long factor = obs::Registry::global().counter("sim.lu.factor");
+  const long replay = obs::Registry::global().counter("sim.lu.replay");
+  const long repivot = obs::Registry::global().counter("sim.lu.repivot");
+  obs::Registry::global().disable();
+  ASSERT_TRUE(op.converged);
+  // One solve per Newton iteration; the first records, the rest replay
+  // unless a pivot changes.
+  EXPECT_GE(factor, 1);
+  EXPECT_EQ(factor + replay, op.iterations);
+  EXPECT_EQ(factor, 1 + repivot);
 }
 
 TEST(SimStats, CountsOpRuns) {

@@ -4,11 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "circuits/common.hpp"
+#include "circuits/vco.hpp"
+#include "dense_lu_oracle.hpp"
 #include "spice/measure.hpp"
 #include "spice/simulator.hpp"
+#include "tech/technology.hpp"
 
 namespace olp::spice {
 namespace {
@@ -190,6 +195,64 @@ TEST(Tran, RejectsBadOptions) {
 }
 
 // --- time-domain measurement helpers ----------------------------------------
+
+TEST(TranAssembly, VcoRingStepSystemsMatchDenseOracle) {
+  // The Table VII ring (8 stages, extracted primitives) from its t=0 state:
+  // the Newton iterations of its first backward-Euler steps, with the
+  // transient's stamping and damped update, each system factored by one
+  // solver (pivoting, then replays) and by the dense oracle.
+  const tech::Technology t = tech::make_default_finfet_tech();
+  circuits::RoVco vco(t);
+  ASSERT_TRUE(vco.prepare());
+  circuits::Realization real =
+      circuits::schematic_realization(vco.instances(), t);
+  real.ideal = false;
+  const Circuit ckt = vco.build(real, 0.5);
+  const Simulator sim(ckt);
+  const linalg::SparsePattern& p = sim.pattern();
+  EXPECT_GT(p.size(), 100);
+  EXPECT_LT(p.nnz(), p.size() * p.size() / 20);  // under 5% dense
+
+  std::vector<double> x_prev = sim.op().x;
+  for (const auto& [node, v] : ckt.initial_conditions()) {
+    x_prev[static_cast<std::size_t>(node - 1)] = v;
+  }
+  const int nn = ckt.node_count() - 1;
+  const double h = 1e-12;
+  linalg::SparseLu<double> lu(p);
+  int solves = 0;
+  for (int step = 1; step <= 3; ++step) {
+    std::vector<double> x = x_prev;
+    bool converged = false;
+    for (int iter = 0; iter < 80 && !converged; ++iter) {
+      const MnaSystem sys = sim.tran_system(x_prev, x, step * h, h);
+      std::vector<double> dense_x, sparse_x;
+      ASSERT_TRUE(linalg::oracle::solve(
+          linalg::oracle::to_dense(p, sys.values), sys.rhs, dense_x));
+      ASSERT_TRUE(lu.factor(sys.values));
+      lu.solve(sys.rhs, sparse_x);
+      ++solves;
+      ASSERT_EQ(sparse_x, dense_x) << "step " << step << " iteration " << iter;
+      EXPECT_EQ(0, std::memcmp(sparse_x.data(), dense_x.data(),
+                               dense_x.size() * sizeof(double)));
+      converged = iter > 0;
+      for (std::size_t k = 0; k < x.size(); ++k) {
+        double delta = dense_x[k] - x[k];
+        if (static_cast<int>(k) < nn) {
+          delta = std::clamp(delta, -0.5, 0.5);
+          if (std::fabs(delta) > 1e-7 + 1e-5 * std::fabs(x[k])) {
+            converged = false;
+          }
+        }
+        x[k] += delta;
+      }
+    }
+    ASSERT_TRUE(converged) << "step " << step;
+    x_prev = x;
+  }
+  EXPECT_EQ(lu.counts().factor + lu.counts().replay, solves);
+  EXPECT_GT(lu.counts().replay, lu.counts().factor);
+}
 
 TEST(Measure, CrossingTimesOfSine) {
   std::vector<double> times, wave;
