@@ -13,6 +13,7 @@
 #include "place/placer.hpp"
 #include "route/global_router.hpp"
 #include "spice/measure.hpp"
+#include "spice/model.hpp"
 #include "spice/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -119,6 +120,76 @@ void BM_LuReplayFactorSolve(benchmark::State& state) {
   state.counters["repivots"] = static_cast<double>(lu.counts().repivot);
 }
 BENCHMARK(BM_LuReplayFactorSolve)->ArgName("vco0_dp1")->Arg(0)->Arg(1);
+
+/// Two consecutive backward-Euler systems of the same ring's transient from
+/// t=0 (dt = 1 ps, the systems of steps 11 and 12). Their pivot orders first
+/// differ at elimination step 111 of 216, so factoring them alternately on
+/// one solver makes every factorization a replay rejected at a middle step
+/// that resumes the pivot search there.
+struct RingPair {
+  linalg::SparsePattern pattern;
+  spice::MnaSystem system[2];
+};
+
+RingPair assemble_ring_pair() {
+  const tech::Technology t = tech::make_default_finfet_tech();
+  circuits::RoVco vco(t);
+  vco.prepare();
+  circuits::Realization real =
+      circuits::schematic_realization(vco.instances(), t);
+  real.ideal = false;
+  const spice::Circuit ckt = vco.build(real, 0.5);
+  const spice::Simulator sim(ckt);
+  spice::TranOptions tr;
+  tr.dt = 1e-12;
+  tr.tstop = 12e-12;
+  const spice::TranResult res = sim.tran(tr);
+  RingPair pair{sim.pattern(), {}};
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::size_t k = 11 + i;
+    pair.system[i] = sim.tran_system(res.samples[k - 1], res.samples[k],
+                                     res.times[k], tr.dt);
+  }
+  return pair;
+}
+
+void BM_LuResumedSearch(benchmark::State& state) {
+  static const RingPair pair = assemble_ring_pair();
+  linalg::SparseLu<double> lu(pair.pattern);
+  lu.factor(pair.system[0].values);
+  std::size_t next = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lu.factor(pair.system[next].values));
+    next ^= 1;
+  }
+  state.counters["n"] = pair.pattern.size();
+  state.counters["nnz"] = pair.pattern.nnz();
+  // 1 when every factorization was a rejected replay.
+  state.counters["repivot_share"] =
+      static_cast<double>(lu.counts().repivot) /
+      static_cast<double>(lu.counts().replay + lu.counts().repivot);
+}
+BENCHMARK(BM_LuResumedSearch);
+
+/// One MOSFET evaluation (drain current, gm, gds), cycling through seeded
+/// bias points from cutoff to strong inversion with both signs of vds.
+void BM_MosEval(benchmark::State& state) {
+  const spice::MosModel model = circuits::default_nmos();
+  Rng rng(5);
+  std::vector<std::pair<double, double>> bias(1024);
+  for (auto& [vgs, vds] : bias) {
+    vgs = rng.uniform(-0.2, 0.9);
+    vds = rng.uniform(-0.9, 0.9);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [vgs, vds] = bias[i];
+    benchmark::DoNotOptimize(
+        spice::mos_eval(model, vgs, vds, 1e-6, 14e-9, 0.0, 1.0));
+    i = (i + 1) % bias.size();
+  }
+}
+BENCHMARK(BM_MosEval);
 
 void BM_OperatingPoint(benchmark::State& state) {
   const tech::Technology t = tech::make_default_finfet_tech();

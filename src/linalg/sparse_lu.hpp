@@ -21,7 +21,12 @@
 // factorizations replay that record without searching or allocating, and
 // check at each step that the pivot rule still picks the recorded row; from
 // the first step where it does not, the pivot search resumes and records
-// anew (the steps before it are unchanged).
+// anew (the steps before it are unchanged). A changed pivot usually changes
+// the elimination only for a few steps: once the resumed search's state
+// (pivoted rows, row positions, structure) is provably the record's again,
+// the rest of the record is what the search would record, and the replay
+// takes over. On the oscillating ring that cuts a resumed search from about
+// half the steps to a sixth of those.
 
 #include <algorithm>
 #include <cmath>
@@ -74,11 +79,14 @@ class SparseLu {
   /// Factorizations since construction. Every factor() call either replays
   /// the record to the end (`replay`) or runs a pivot search (`factor`); a
   /// pivot search that follows a rejected replay (`repivot`) resumes at the
-  /// step the replay rejected, since the steps before it are unchanged.
+  /// step the replay rejected, since the steps before it are unchanged, and
+  /// hands the rest back to the replay once it reaches the record's state
+  /// (`rejoin`).
   struct Counts {
     long factor = 0;   ///< pivot searches (full or resumed), which record
     long replay = 0;   ///< factorizations that replayed the recorded pivots
     long repivot = 0;  ///< replays rejected by the pivot check
+    long rejoin = 0;   ///< resumed searches that rejoined the record
   };
 
   explicit SparseLu(const SparsePattern& pattern) : pattern_(&pattern) {}
@@ -94,27 +102,38 @@ class SparseLu {
     double max_abs = 0.0;
     for (const T& v : values) max_abs = std::max(max_abs, std::abs(v));
     const double tol = 1e-13 * std::max(max_abs, 1.0);
+    const int n = pattern_->size();
 
-    int from = 0;
-    if (recorded_) {
-      std::copy(values.begin(), values.end(), lu_.begin());
-      std::fill(lu_.begin() + static_cast<std::ptrdiff_t>(values.size()),
-                lu_.end(), T{});
-      const Replay r = replay(tol, from);
-      if (r != Replay::kRejected) {
-        ++counts_.replay;
-        ok_ = r == Replay::kDone;
-        return ok_;
-      }
-      ++counts_.repivot;
-      rewind(from);
-    } else {
+    if (!recorded_) {
       start(values);
+      ++counts_.factor;
+      recorded_ = pivot_search(0, tol, false) == n;
+      return finish(recorded_);
     }
+    std::copy(values.begin(), values.end(), lu_.begin());
+    std::fill(lu_.begin() + static_cast<std::ptrdiff_t>(values.size()),
+              lu_.end(), T{});
+    int at = 0;
+    Replay r = replay(tol, at);
+    if (r != Replay::kRejected) {
+      ++counts_.replay;
+      return finish(r == Replay::kDone);
+    }
+    ++counts_.repivot;
     ++counts_.factor;
-    ok_ = pivot_search(from, tol);
-    recorded_ = ok_;
-    return ok_;
+    // Search from the rejected step; a search that rejoins the record hands
+    // the rest back to the replay, which may reject again further on.
+    while (r == Replay::kRejected) {
+      rewind(at);
+      at = pivot_search(at, tol, true);
+      if (at < 0) {
+        recorded_ = false;
+        return finish(false);
+      }
+      compact();
+      r = at == n ? Replay::kDone : replay(tol, at);
+    }
+    return finish(r == Replay::kDone);
   }
 
   bool ok() const noexcept { return ok_; }
@@ -153,20 +172,29 @@ class SparseLu {
  private:
   enum class Replay { kDone, kSingular, kRejected };
 
+  /// An entry of a row: its column and slot.
   struct Entry {
     int col;
     int slot;
   };
 
-  /// A node of a column's chain of rows (see col_head_).
-  struct Link {
+  /// An entry of a column: its physical row and slot.
+  struct Cell {
     int row;
-    int next;
+    int slot;
   };
 
-  /// The record of elimination step k.
+  /// Where a fill slot sits, and a scratch mark of the rejoin check.
+  struct Fill {
+    int row;
+    int col;
+    int mark;
+  };
+
+  /// The record of elimination step k. Its parts are segments of the pools
+  /// (cand_*_, u_, upd_, born_), which a resumed search appends to.
   struct Step {
-    int cand_begin = 0;  ///< candidates' column-k slots in cand_slot_, in
+    int cand_begin = 0;  ///< candidates' rows and column-k slots, in
     int cand_count = 0;  ///< increasing row position at step k
     bool first_at_k = false;  ///< the first candidate sits at position k
     int pivot = 0;       ///< the pivot's index among the candidates
@@ -175,49 +203,104 @@ class SparseLu {
     int u_begin = 0;     ///< U row k, columns > k, in u_
     int u_len = 0;
     int upd_begin = 0;   ///< per non-pivot candidate, u_len slots in upd_
-    // Sizes of the growing arrays when the step began, to resume here.
-    int lu_mark = 0, pool_mark = 0, link_mark = 0, elim_mark = 0;
+    int born_begin = 0;  ///< the fill slots the step creates, in born_
+    int born_count = 0;
   };
 
-  /// One row eliminated at a step: its multiplier's slot, and the segment
-  /// of pool_ that holds the row's active part afterwards.
-  struct Elim {
+  /// A candidate row of a pivot search step.
+  struct Cand {
+    int pos;  ///< its current row position
     int row;
-    int k;
-    int slot;
-    int seg_begin;
-    int seg_len;
+    int slot;  ///< its column-k entry
   };
 
-  /// Active part of a physical row during the pivot search.
-  struct Row {
-    int seg_begin = 0;
-    int seg_len = 0;
-    int pos = 0;  ///< current row position
+  /// One list per row (or column) in one array. Lists grow at their end and
+  /// shrink from it; a list that outgrows its room moves to the array's end
+  /// with twice the room, so a search allocates only when the structure
+  /// outgrows every earlier one since the last reset.
+  template <typename Item>
+  class Lists {
+   public:
+    /// n empty lists, list i with room for `room(i)` items.
+    template <typename Room>
+    void reset(int n, Room room) {
+      spans_.resize(static_cast<std::size_t>(n));
+      int end = 0;
+      for (int i = 0; i < n; ++i) {
+        const int r = room(i);
+        spans_[static_cast<std::size_t>(i)] = Span{end, 0, r};
+        end += r;
+      }
+      items_.resize(static_cast<std::size_t>(end));
+    }
+    Item* begin(int i) { return items_.data() + span(i).begin; }
+    int size(int i) const {
+      return spans_[static_cast<std::size_t>(i)].len;
+    }
+    void push(int i, const Item& item) {
+      Span& sp = span(i);
+      if (sp.len == sp.room) {
+        const std::size_t moved = items_.size();
+        sp.room = 2 * sp.room + 2;
+        items_.resize(moved + static_cast<std::size_t>(sp.room));
+        std::copy_n(items_.begin() + sp.begin, sp.len,
+                    items_.begin() + static_cast<std::ptrdiff_t>(moved));
+        sp.begin = static_cast<int>(moved);
+      }
+      items_[static_cast<std::size_t>(sp.begin + sp.len++)] = item;
+    }
+    void pop(int i) { --span(i).len; }
+
+   private:
+    struct Span {
+      int begin;
+      int len;
+      int room;
+    };
+    Span& span(int i) { return spans_[static_cast<std::size_t>(i)]; }
+
+    std::vector<Item> items_;
+    std::vector<Span> spans_;
   };
 
   T& value(int slot) { return lu_[static_cast<std::size_t>(slot)]; }
-  Row& row_of(int r) { return rows_[static_cast<std::size_t>(r)]; }
   const T& value(int slot) const { return lu_[static_cast<std::size_t>(slot)]; }
+  int& slot_at(int row, int col) {
+    return slot_at_[static_cast<std::size_t>(row) *
+                        static_cast<std::size_t>(pattern_->size()) +
+                    static_cast<std::size_t>(col)];
+  }
+  Step& step(int k) { return steps_[static_cast<std::size_t>(k)]; }
+  static int item(const std::vector<int>& v, int i) {
+    return v[static_cast<std::size_t>(i)];
+  }
 
-  /// The dense pivot rule over one step's candidate slots, listed in
+  /// Ends a factor() call: builds L if the record changed and the factors
+  /// are usable.
+  bool finish(bool ok) {
+    ok_ = ok;
+    if (ok_ && l_stale_) build_l();
+    return ok_;
+  }
+
+  /// The dense pivot rule over one step's candidates, listed in
   /// increasing current row position: the first strictly largest magnitude,
   /// starting from the row at position k. That row is the first candidate
   /// when `first_at_k`; otherwise its entry is an exact zero. Returns the
   /// chosen candidate's index (-1: the non-candidate row at position k) and
   /// its magnitude in `mag`.
-  int choose_pivot(const int* slots, int count, bool first_at_k,
+  int choose_pivot(const Cell* cands, int count, bool first_at_k,
                    double& mag) const {
     int best = -1;
     double best_mag = 0.0;
     int c = 0;
     if (first_at_k) {
       best = 0;
-      best_mag = std::abs(value(slots[0]));
+      best_mag = std::abs(value(cands[0].slot));
       c = 1;
     }
     for (; c < count; ++c) {
-      const double m = std::abs(value(slots[c]));
+      const double m = std::abs(value(cands[c].slot));
       if (m > best_mag) {
         best_mag = m;
         best = c;
@@ -227,29 +310,29 @@ class SparseLu {
     return best;
   }
 
-  /// Re-runs the recorded elimination on freshly loaded values. On a
-  /// rejection `at` is the step whose pivot check failed; the steps before
-  /// it are complete.
+  /// Re-runs the recorded elimination from step `at` (the steps before it
+  /// are done) on freshly loaded values. On a rejection `at` is the step
+  /// whose pivot check failed.
   Replay replay(double tol, int& at) {
     const int n = pattern_->size();
-    for (int k = 0; k < n; ++k) {
-      const Step& st = steps_[static_cast<std::size_t>(k)];
-      const int* slots = cand_slot_.data() + st.cand_begin;
+    for (int k = at; k < n; ++k) {
+      const Step& st = step(k);
+      const Cell* cands = cand_.data() + st.cand_begin;
       double mag = 0.0;
-      const int pivot = choose_pivot(slots, st.cand_count, st.first_at_k, mag);
+      const int pivot = choose_pivot(cands, st.cand_count, st.first_at_k, mag);
       if (pivot != st.pivot) {
         at = k;
         return Replay::kRejected;
       }
       if (mag <= tol) return Replay::kSingular;
-      const T pivot_val = value(slots[pivot]);
+      const T pivot_val = value(cands[pivot].slot);
       const std::size_t ulen = static_cast<std::size_t>(st.u_len);
       const Entry* urow = u_.data() + st.u_begin;
       const int* targets = upd_.data() + st.upd_begin;
       for (int c = 0; c < st.cand_count; ++c) {
         if (c == pivot) continue;
-        const T factor = value(slots[c]) / pivot_val;
-        value(slots[c]) = factor;
+        const T factor = value(cands[c].slot) / pivot_val;
+        value(cands[c].slot) = factor;
         if (factor != T{}) {
           for (std::size_t t = 0; t < ulen; ++t) {
             value(targets[t]) -= factor * value(urow[t].slot);
@@ -261,224 +344,433 @@ class SparseLu {
     return Replay::kDone;
   }
 
-  /// Initial state of a pivot search from step 0: the pattern's rows as the
-  /// active rows, in natural order.
+  /// Initial state of a pivot search from step 0: the pattern's entries,
+  /// every row at its natural position, no fill slots, an empty record.
   void start(const std::vector<T>& values) {
     const SparsePattern& p = *pattern_;
-    const std::size_t ns = static_cast<std::size_t>(p.size());
+    const int n = p.size();
+    const std::size_t ns = static_cast<std::size_t>(n);
+    // The values and the record grow by push_back; start them at a size
+    // small systems do not outgrow.
+    const std::size_t nnz = static_cast<std::size_t>(p.nnz());
+    lu_.reserve(2 * nnz);
+    fill_.reserve(nnz);
+    cand_.reserve(2 * nnz);
+    u_.reserve(2 * nnz);
+    upd_.reserve(4 * nnz);
+    born_.reserve(nnz);
     lu_.assign(values.begin(), values.end());
-    pool_.clear();
-    links_.clear();
-    col_head_.assign(ns, -1);
-    for (int r = 0; r < p.size(); ++r) {
-      for (int s = p.row_begin(r); s < p.row_end(r); ++s) {
-        pool_.push_back(Entry{p.col(s), s});
-        link(p.col(s), r);
-      }
-    }
-    rows_.resize(ns);
-    perm_.resize(ns);
-    reset_rows();
-    steps_.resize(ns);
-    cand_slot_.clear();
+    fill_.clear();
+    cand_.clear();
     u_.clear();
     upd_.clear();
-    elims_.clear();
-  }
-
-  /// Restores the pivot search's state at the start of step k from the
-  /// record: pool segments, column links and fill from later steps are
-  /// dropped, and each row gets back its position and active segment.
-  void rewind(int k) {
-    const Step& st = steps_[static_cast<std::size_t>(k)];
-    lu_.resize(static_cast<std::size_t>(st.lu_mark));
-    pool_.resize(static_cast<std::size_t>(st.pool_mark));
-    // Fill from step k on only links columns after k; chains run newest
-    // first, so dropping their heads down to the mark drops exactly it.
-    for (std::size_t c = static_cast<std::size_t>(k); c < col_head_.size();
-         ++c) {
-      while (col_head_[c] >= st.link_mark) {
-        col_head_[c] = links_[static_cast<std::size_t>(col_head_[c])].next;
+    born_.clear();
+    slot_at_.assign(ns * ns, -1);
+    // Room for as much fill again as each row or column starts with (pos_
+    // counts the columns' entries until it takes the positions).
+    std::vector<int>& col_len = pos_;
+    col_len.assign(ns, 0);
+    for (int s = 0; s < p.nnz(); ++s) {
+      ++col_len[static_cast<std::size_t>(p.col(s))];
+    }
+    rows_.reset(n, [&p](int r) {
+      return 2 * (p.row_end(r) - p.row_begin(r)) + 2;
+    });
+    cols_.reset(n, [&col_len](int c) {
+      return 2 * col_len[static_cast<std::size_t>(c)] + 2;
+    });
+    for (int r = 0; r < n; ++r) {
+      for (int s = p.row_begin(r); s < p.row_end(r); ++s) {
+        rows_.push(r, Entry{p.col(s), s});
+        cols_.push(p.col(s), Cell{r, s});
+        slot_at(r, p.col(s)) = s;
       }
     }
-    links_.resize(static_cast<std::size_t>(st.link_mark));
-    reset_rows();
-    for (int i = 0; i < k; ++i) {
-      swap_into(i, steps_[static_cast<std::size_t>(i)].pivot_row);
-    }
-    elims_.resize(static_cast<std::size_t>(st.elim_mark));
-    for (const Elim& e : elims_) {
-      row_of(e.row).seg_begin = e.seg_begin;
-      row_of(e.row).seg_len = e.seg_len;
-    }
-    cand_slot_.resize(static_cast<std::size_t>(st.cand_begin));
-    u_.resize(static_cast<std::size_t>(st.u_begin));
-    upd_.resize(static_cast<std::size_t>(st.upd_begin));
-  }
-
-  /// Every row back at its natural position with its pattern row, which
-  /// the pool's first nnz entries hold, as its active segment.
-  void reset_rows() {
-    const SparsePattern& p = *pattern_;
-    for (int r = 0; r < p.size(); ++r) {
-      row_of(r) = Row{p.row_begin(r), p.row_end(r) - p.row_begin(r), r};
-    }
+    state_step_ = 0;
+    perm_.resize(ns);
+    std::iota(pos_.begin(), pos_.end(), 0);
     std::iota(perm_.begin(), perm_.end(), 0);
+    steps_.resize(ns);
   }
 
-  void link(int col, int row) {
-    links_.push_back(Link{row, col_head_[static_cast<std::size_t>(col)]});
-    col_head_[static_cast<std::size_t>(col)] =
-        static_cast<int>(links_.size()) - 1;
+  /// Makes fill slot s an entry of the structure, or (pop) removes it; the
+  /// lists take it back from their ends, so pops must mirror the pushes.
+  void push_fill(int s) {
+    const Fill& c = fill_[static_cast<std::size_t>(s - pattern_->nnz())];
+    slot_at(c.row, c.col) = s;
+    rows_.push(c.row, Entry{c.col, s});
+    cols_.push(c.col, Cell{c.row, s});
+  }
+  void pop_fill(int s) {
+    const Fill& c = fill_[static_cast<std::size_t>(s - pattern_->nnz())];
+    slot_at(c.row, c.col) = -2 - s;  // keeps the slot for its next birth
+    rows_.pop(c.row);
+    cols_.pop(c.col);
+  }
+
+  /// Brings the search state to the start of step k of the record: the fill
+  /// of the steps in between is taken out (newest first) or put in, and
+  /// every row gets back its position.
+  void rewind(int k) {
+    for (int i = state_step_; i-- > k;) {
+      const Step& st = step(i);
+      for (int b = st.born_begin + st.born_count; b-- > st.born_begin;) {
+        pop_fill(item(born_, b));
+      }
+    }
+    for (int i = state_step_; i < k; ++i) {
+      const Step& st = step(i);
+      for (int b = st.born_begin; b < st.born_begin + st.born_count; ++b) {
+        push_fill(item(born_, b));
+      }
+    }
+    state_step_ = k;
+    std::iota(pos_.begin(), pos_.end(), 0);
+    std::iota(perm_.begin(), perm_.end(), 0);
+    for (int i = 0; i < k; ++i) swap_into(pos_, perm_, i, step(i).pivot_row);
   }
 
   /// Swaps `row` into position k, as the dense loop swaps whole rows.
-  void swap_into(int k, int row) {
+  static void swap_into(std::vector<int>& pos, std::vector<int>& perm, int k,
+                        int row) {
     const std::size_t ks = static_cast<std::size_t>(k);
-    const int displaced = perm_[ks];
-    const int from = row_of(row).pos;
-    perm_[static_cast<std::size_t>(from)] = displaced;
-    row_of(displaced).pos = from;
-    perm_[ks] = row;
-    row_of(row).pos = k;
+    const int displaced = perm[ks];
+    const int from = pos[static_cast<std::size_t>(row)];
+    perm[static_cast<std::size_t>(from)] = displaced;
+    pos[static_cast<std::size_t>(displaced)] = from;
+    perm[ks] = row;
+    pos[static_cast<std::size_t>(row)] = k;
   }
 
   /// Pivot search and elimination from step `from` on, recording each step.
-  bool pivot_search(int from, double tol) {
+  /// Returns n when done, -1 on a singular pivot, and, when `resume` (the
+  /// record still holds the steps of the rejected replay from `from` on),
+  /// the first step j at which the search state equals the record's:
+  /// steps j and later of the record are then exactly what the search
+  /// would record, and the caller replays them instead.
+  ///
+  /// The structure so far is kept three ways: each row's and each column's
+  /// entries (pattern first, then fill in creation order), and slot_at_,
+  /// which maps (row, column) to its slot. A step takes its candidates from
+  /// column k's list, U row k from the pivot row's list, and each
+  /// candidate's update targets from slot_at_; entries a candidate lacks
+  /// become fill. A fill entry keeps its slot for good, so the steps of
+  /// two records that coincide also agree on every slot.
+  int pivot_search(int from, double tol, bool resume) {
     const int n = pattern_->size();
+    if (resume) begin_span();
     for (int k = from; k < n; ++k) {
-      const std::size_t ks = static_cast<std::size_t>(k);
-      Step& st = steps_[ks];
-      st.lu_mark = static_cast<int>(lu_.size());
-      st.pool_mark = static_cast<int>(pool_.size());
-      st.link_mark = static_cast<int>(links_.size());
-      st.elim_mark = static_cast<int>(elims_.size());
-      st.cand_begin = static_cast<int>(cand_slot_.size());
-      st.u_begin = static_cast<int>(u_.size());
-      st.upd_begin = static_cast<int>(upd_.size());
+      if (resume && k > from && span_rejoins(from, k)) {
+        // Steps k and later are the record's; the search state stays at k.
+        ++counts_.rejoin;
+        clear_span(from, k);
+        state_step_ = k;
+        l_stale_ = true;
+        return k;
+      }
+      Step& st = step(k);
+      if (resume) old_.push_back(st);
 
+      // Candidates: the rows at positions k and later with an entry in
+      // column k, in increasing position (insertion sort; there are few).
       cands_.clear();
-      for (int e = col_head_[ks]; e >= 0;) {
-        const Link& node = links_[static_cast<std::size_t>(e)];
-        const int pos = row_of(node.row).pos;
-        if (pos >= k) cands_.emplace_back(pos, node.row);
-        e = node.next;
+      const Cell* col = cols_.begin(k);
+      for (int i = 0; i < cols_.size(k); ++i) {
+        const Cand cand{item(pos_, col[i].row), col[i].row, col[i].slot};
+        if (cand.pos < k) continue;
+        cands_.push_back(cand);
+        std::size_t j = cands_.size() - 1;
+        for (; j > 0 && cands_[j - 1].pos > cand.pos; --j) {
+          cands_[j] = cands_[j - 1];
+        }
+        cands_[j] = cand;
       }
-      std::sort(cands_.begin(), cands_.end());
-      for (const auto& [pos, r] : cands_) {
-        // Columns below k are eliminated, so column k leads the active row.
-        const Entry& lead =
-            pool_[static_cast<std::size_t>(row_of(r).seg_begin)];
-        OLP_ASSERT(lead.col == k, "sparse LU active row out of order");
-        cand_slot_.push_back(lead.slot);
-      }
+      st.cand_begin = static_cast<int>(cand_.size());
+      for (const Cand& c : cands_) cand_.push_back(Cell{c.row, c.slot});
       st.cand_count = static_cast<int>(cands_.size());
-      st.first_at_k = !cands_.empty() && cands_.front().first == k;
+      st.first_at_k = !cands_.empty() && cands_.front().pos == k;
       double mag = 0.0;
-      st.pivot = choose_pivot(cand_slot_.data() + st.cand_begin, st.cand_count,
+      st.pivot = choose_pivot(cand_.data() + st.cand_begin, st.cand_count,
                               st.first_at_k, mag);
-      if (mag <= tol) return false;
-      const int prow = cands_[static_cast<std::size_t>(st.pivot)].second;
-      st.pivot_row = prow;
-      swap_into(k, prow);
+      if (mag <= tol) {
+        if (resume) clear_span(from, k);
+        return -1;
+      }
+      const Cand pivot = cands_[static_cast<std::size_t>(st.pivot)];
+      st.pivot_row = pivot.row;
+      st.diag_slot = pivot.slot;
+      if (resume) {
+        track_span(k, old_.back().pivot_row, pivot.row);
+      } else {
+        swap_into(pos_, perm_, k, pivot.row);
+      }
 
-      // The pivot row's active part is row k of U.
-      const Row& urow = row_of(prow);
-      st.diag_slot = pool_[static_cast<std::size_t>(urow.seg_begin)].slot;
-      u_.insert(u_.end(), pool_.begin() + urow.seg_begin + 1,
-                pool_.begin() + urow.seg_begin + urow.seg_len);
-      st.u_len = urow.seg_len - 1;
+      // U row k: the pivot row's entries right of column k, by column.
+      st.u_begin = static_cast<int>(u_.size());
+      const Entry* prow = rows_.begin(pivot.row);
+      for (int i = 0; i < rows_.size(pivot.row); ++i) {
+        if (prow[i].col > k) u_.push_back(prow[i]);
+      }
+      std::sort(u_.begin() + st.u_begin, u_.end(),
+                [](const Entry& a, const Entry& b) { return a.col < b.col; });
+      st.u_len = static_cast<int>(u_.size()) - st.u_begin;
       const std::size_t ulen = static_cast<std::size_t>(st.u_len);
 
+      st.upd_begin = static_cast<int>(upd_.size());
+      st.born_begin = static_cast<int>(born_.size());
       const T pivot_val = value(st.diag_slot);
-      const int* slots = cand_slot_.data() + st.cand_begin;
       for (int c = 0; c < st.cand_count; ++c) {
         if (c == st.pivot) continue;
-        const int r = cands_[static_cast<std::size_t>(c)].second;
-        Row& row = row_of(r);
-        const std::size_t rlen = static_cast<std::size_t>(row.seg_len);
-        const int lslot = slots[c];
+        const int r = cands_[static_cast<std::size_t>(c)].row;
+        const int lslot = cands_[static_cast<std::size_t>(c)].slot;
         const T factor = value(lslot) / pivot_val;
         value(lslot) = factor;
-        // Merge U row k into the rest of this row, as a new pool segment.
         // Fill is created whatever the multiplier's value, so the structure
         // holds for any values.
-        const std::size_t out = pool_.size();
-        pool_.resize(out + rlen - 1 + ulen);
-        const Entry* src = pool_.data() + row.seg_begin;
+        const std::size_t first = upd_.size();
+        upd_.resize(first + ulen);
         const Entry* u = u_.data() + st.u_begin;
-        Entry* merged = pool_.data() + out;
-        std::size_t a = 1, m = 0;
-        for (std::size_t e = 0; e < ulen; ++e) {
-          while (a < rlen && src[a].col < u[e].col) merged[m++] = src[a++];
-          int target;
-          if (a < rlen && src[a].col == u[e].col) {
-            target = src[a++].slot;
-          } else {
-            target = static_cast<int>(lu_.size());
-            lu_.push_back(T{});
-            link(u[e].col, r);
+        for (std::size_t t = 0; t < ulen; ++t) {
+          int slot = slot_at(r, u[t].col);
+          if (slot < 0) {
+            slot = slot == -1 ? new_fill(r, u[t].col) : -2 - slot;
+            born_.push_back(slot);
+            push_fill(slot);
           }
-          merged[m++] = Entry{u[e].col, target};
-          upd_.push_back(target);
-          if (factor != T{}) value(target) -= factor * value(u[e].slot);
+          upd_[first + t] = slot;
         }
-        while (a < rlen) merged[m++] = src[a++];
-        pool_.resize(out + m);
-        row.seg_begin = static_cast<int>(out);
-        row.seg_len = static_cast<int>(m);
-        elims_.push_back(Elim{r, k, lslot, row.seg_begin, row.seg_len});
+        if (factor != T{}) {
+          for (std::size_t t = 0; t < ulen; ++t) {
+            value(upd_[first + t]) -= factor * value(u[t].slot);
+          }
+        }
+      }
+      st.born_count = static_cast<int>(born_.size()) - st.born_begin;
+    }
+    if (resume) clear_span(from, n);
+    state_step_ = n;
+    l_stale_ = true;
+    return n;
+  }
+
+  /// A fill slot for entry (row, col), which never had one: a new zero at
+  /// the end of the values.
+  int new_fill(int row, int col) {
+    lu_.push_back(T{});
+    fill_.push_back(Fill{row, col, 0});
+    return static_cast<int>(lu_.size()) - 1;
+  }
+
+  // --- Rejoining the record ----------------------------------------------
+  //
+  // A resumed search starts from the record's state at step `from` and
+  // overwrites the record step by step; old_ keeps the steps it replaces.
+  // Both sequences of steps act on the same starting state, so their states
+  // at a later step j are equal exactly when
+  //   (a) both pivoted the same set of rows,
+  //   (b) every row neither has pivoted sits at the same position, and
+  //   (c) no fill entry created by only one of them is still active (in an
+  //       unpivoted row, in column j or later).
+  // moved_[r] counts row r's pivots by the search minus the record's, and
+  // unpivoted_ counts the rows with moved_ != 0: (a) holds when it is zero.
+  // old_pos_/old_perm_ follow the record's positions; misplaced_ counts the
+  // rows both still hold unpivoted but at different positions: (b) holds
+  // when it is zero. (c) is checked only when (a) and (b) hold.
+
+  void begin_span() {
+    moved_.resize(pos_.size());  // all zero between spans
+    old_.clear();
+    old_pos_ = pos_;
+    old_perm_ = perm_;
+    unpivoted_ = 0;
+    misplaced_ = 0;
+  }
+
+  /// Clears the marks of a span that reached step k.
+  void clear_span(int from, int k) {
+    for (int i = from; i < k; ++i) {
+      moved_[static_cast<std::size_t>(step(i).pivot_row)] = 0;
+      moved_[static_cast<std::size_t>(
+          old_[static_cast<std::size_t>(i - from)].pivot_row)] = 0;
+    }
+  }
+
+  /// Step k: the record pivoted `old_row`, the search `new_row`.
+  void track_span(int k, int old_row, int new_row) {
+    const int rows[4] = {old_row, item(old_perm_, k), new_row, item(perm_, k)};
+    // A row's contribution to misplaced_ before the next step.
+    auto misplaced = [this](int r, int next) {
+      const int p = item(pos_, r), q = item(old_pos_, r);
+      return p >= next && q >= next && p != q ? 1 : 0;
+    };
+    for (int i = 0; i < 4; ++i) {
+      if (std::find(rows, rows + i, rows[i]) == rows + i) {
+        misplaced_ -= misplaced(rows[i], k);
       }
     }
+    swap_into(old_pos_, old_perm_, k, old_row);
+    swap_into(pos_, perm_, k, new_row);
+    for (int i = 0; i < 4; ++i) {
+      if (std::find(rows, rows + i, rows[i]) == rows + i) {
+        misplaced_ += misplaced(rows[i], k + 1);
+      }
+    }
+    bump(old_row, -1);
+    bump(new_row, 1);
+  }
 
-    // L by final position, columns increasing: bucket the multipliers,
-    // logged in step order, by their row's position.
+  void bump(int row, int by) {
+    int& m = moved_[static_cast<std::size_t>(row)];
+    unpivoted_ -= m != 0 ? 1 : 0;
+    m += by;
+    unpivoted_ += m != 0 ? 1 : 0;
+  }
+
+  /// Whether the search state at step k equals the record's.
+  bool span_rejoins(int from, int k) {
+    if (unpivoted_ != 0 || misplaced_ != 0) return false;
+    const int nnz = pattern_->nnz();
+    auto fill = [this, nnz](int s) -> Fill& {
+      return fill_[static_cast<std::size_t>(s - nnz)];
+    };
+    // Fill created by the search +1, by the record -1: what is left nonzero
+    // was created by only one of them.
+    auto each_birth = [this, from, k](auto&& f) {
+      for (int i = from; i < k; ++i) {
+        const Step& st = step(i);
+        const Step& old = old_[static_cast<std::size_t>(i - from)];
+        for (int b = st.born_begin; b < st.born_begin + st.born_count; ++b) {
+          f(item(born_, b), 1);
+        }
+        for (int b = old.born_begin; b < old.born_begin + old.born_count;
+             ++b) {
+          f(item(born_, b), -1);
+        }
+      }
+    };
+    each_birth([&fill](int s, int by) { fill(s).mark += by; });
+    bool same = true;
+    each_birth([&](int s, int) {
+      Fill& f = fill(s);
+      if (f.mark != 0 && f.col >= k && item(pos_, f.row) >= k) same = false;
+      f.mark = 0;
+    });
+    return same;
+  }
+
+  // --- After a search --------------------------------------------------------
+
+  /// L by final position, columns increasing: each step's multipliers,
+  /// bucketed by their row's final position.
+  void build_l() {
+    const int n = pattern_->size();
     const std::size_t ns = static_cast<std::size_t>(n);
+    std::iota(pos_.begin(), pos_.end(), 0);
+    std::iota(perm_.begin(), perm_.end(), 0);
+    for (int i = 0; i < n; ++i) swap_into(pos_, perm_, i, step(i).pivot_row);
+    auto each_multiplier = [this, n](auto&& f) {
+      for (int k = 0; k < n; ++k) {
+        const Step& st = step(k);
+        for (int c = 0; c < st.cand_count; ++c) {
+          if (c == st.pivot) continue;
+          const Cell& cand = cand_[static_cast<std::size_t>(st.cand_begin + c)];
+          f(k, item(pos_, cand.row), cand.slot);
+        }
+      }
+    };
     l_begin_.assign(ns + 1, 0);
-    for (const Elim& e : elims_) {
-      ++l_begin_[static_cast<std::size_t>(row_of(e.row).pos) + 1];
-    }
+    each_multiplier([this](int, int pos, int) {
+      ++l_begin_[static_cast<std::size_t>(pos) + 1];
+    });
     std::partial_sum(l_begin_.begin(), l_begin_.end(), l_begin_.begin());
-    l_.resize(elims_.size());
+    l_.resize(static_cast<std::size_t>(l_begin_.back()));
     l_fill_.assign(l_begin_.begin(), l_begin_.end() - 1);
-    for (const Elim& e : elims_) {
-      const std::size_t i = static_cast<std::size_t>(
-          l_fill_[static_cast<std::size_t>(row_of(e.row).pos)]++);
-      l_[i] = Entry{e.k, e.slot};
+    each_multiplier([this](int k, int pos, int slot) {
+      l_[static_cast<std::size_t>(l_fill_[static_cast<std::size_t>(pos)]++)] =
+          Entry{k, slot};
+    });
+    l_stale_ = false;
+    // The search state's positions are rebuilt by the next rewind.
+  }
+
+  /// Resumed searches append to the pools and leave the segments of the
+  /// steps they replace behind; rewrites the pools in step order once those
+  /// make up more than half of them.
+  void compact() {
+    const int n = pattern_->size();
+    std::size_t live = 0;
+    for (int k = 0; k < n; ++k) {
+      const Step& st = step(k);
+      live += static_cast<std::size_t>(st.cand_count * (1 + st.u_len) +
+                                       st.born_count);
     }
-    return true;
+    if (2 * live + 1024 >=
+        cand_.size() + u_.size() + upd_.size() + born_.size()) {
+      return;
+    }
+    std::vector<Cell> cand;
+    std::vector<Entry> u;
+    std::vector<int> upd, born;
+    auto move = [](auto& to, const auto& pool, int& begin, int len) {
+      const int moved = static_cast<int>(to.size());
+      to.insert(to.end(), pool.begin() + begin, pool.begin() + begin + len);
+      begin = moved;
+    };
+    for (int k = 0; k < n; ++k) {
+      Step& st = step(k);
+      move(cand, cand_, st.cand_begin, st.cand_count);
+      move(u, u_, st.u_begin, st.u_len);
+      move(upd, upd_, st.upd_begin,
+           std::max(st.cand_count - 1, 0) * st.u_len);
+      move(born, born_, st.born_begin, st.born_count);
+    }
+    cand_.swap(cand);
+    u_.swap(u);
+    upd_.swap(upd);
+    born_.swap(born);
   }
 
   const SparsePattern* pattern_;
   bool ok_ = false;
   bool recorded_ = false;
+  bool l_stale_ = false;  ///< the record changed since L was built
   Counts counts_;
 
-  /// Pattern slots first, then the fill of the recorded elimination.
+  /// Pattern slots first, then every fill slot created since start().
   std::vector<T> lu_;
 
-  // The record: per step, its candidates, pivot, U row and update targets;
-  // L by final position.
+  // The record: per step, its candidates, pivot, U row, update targets and
+  // new fill; L by final position.
   std::vector<Step> steps_;
-  std::vector<int> cand_slot_;
+  std::vector<Cell> cand_;
   std::vector<Entry> u_;
   std::vector<int> upd_;
+  std::vector<int> born_;
   std::vector<int> l_begin_;
   std::vector<Entry> l_;
-
-  // Pivot-search state, kept so that a rejected replay can resume it.
-  // Each row's active part (columns >= the current step, sorted) is a
-  // segment of pool_; a row that takes an update is rewritten at the pool's
-  // end, so earlier segments stay intact. col_head_ chains through links_,
-  // newest first, the rows holding an entry in each column.
-  std::vector<Entry> pool_;
-  std::vector<Row> rows_;
-  std::vector<int> perm_;  ///< physical row at each position
-  std::vector<int> col_head_;
-  std::vector<Link> links_;
-  std::vector<Elim> elims_;
-  std::vector<std::pair<int, int>> cands_;
   std::vector<int> l_fill_;
+
+  // Pivot-search state at the start of step state_step_ of the record, kept
+  // so that a rejected replay can resume the search: the entries of each
+  // row and column, the (row, column) -> slot map (n^2 ints; -1 where there
+  // was never an entry, -2 - s where fill slot s was and is not now; 0.3 MB
+  // at 280 unknowns), each fill slot's place, and the row positions.
+  int state_step_ = 0;
+  Lists<Entry> rows_;
+  Lists<Cell> cols_;
+  std::vector<int> slot_at_;
+  std::vector<Fill> fill_;  ///< fill slot nnz + i
+  std::vector<int> pos_;   ///< current position of each physical row
+  std::vector<int> perm_;  ///< physical row at each position
+  std::vector<Cand> cands_;  ///< scratch: one step's candidates
+
+  // A resumed search's comparison with the record it replaces (see above).
+  std::vector<Step> old_;
+  std::vector<int> old_pos_;
+  std::vector<int> old_perm_;
+  std::vector<int> moved_;
+  int unpivoted_ = 0;
+  int misplaced_ = 0;
 };
 
 }  // namespace olp::linalg

@@ -6,16 +6,9 @@ namespace olp::spice {
 
 namespace {
 // Smooth |x| used for channel-length modulation so the model stays C^1 at
-// vds = 0 (important for Newton convergence on pass devices that cross zero).
+// vds = 0 (important for Newton convergence on pass devices that cross zero):
+// |x| ~ sqrt(x^2 + eps^2) - eps, with derivative x / sqrt(x^2 + eps^2).
 constexpr double kAbsEps = 1e-3;
-
-double smooth_abs(double x) {
-  return std::sqrt(x * x + kAbsEps * kAbsEps) - kAbsEps;
-}
-
-double smooth_abs_d(double x) {
-  return x / std::sqrt(x * x + kAbsEps * kAbsEps);
-}
 }  // namespace
 
 MosEval mos_eval(const MosModel& model, double vgs, double vds, double w,
@@ -34,19 +27,18 @@ MosEval mos_eval(const MosModel& model, double vgs, double vds, double w,
   const double uf = (vgs - vth) / (n * vt);
   const double ur = (vgs - vth - n * vds) / (n * vt);
 
-  const double ff = ekv_f(uf);
-  const double fr = ekv_f(ur);
-  const double dff = ekv_df(uf);
-  const double dfr = ekv_df(ur);
+  const Ekv fwd = ekv(uf);
+  const Ekv rev = ekv(ur);
 
   const double lam = model.lambda * (model.lref / l);
-  const double clm = 1.0 + lam * smooth_abs(vds);
-  const double dclm = lam * smooth_abs_d(vds);
+  const double root = std::sqrt(vds * vds + kAbsEps * kAbsEps);
+  const double clm = 1.0 + lam * (root - kAbsEps);
+  const double dclm = lam * (vds / root);
 
   MosEval e;
-  e.id = ispec * (ff - fr) * clm;
-  e.gm = ispec * (dff - dfr) / (n * vt) * clm;
-  e.gds = ispec * (dfr / vt * clm + (ff - fr) * dclm);
+  e.id = ispec * (fwd.f - rev.f) * clm;
+  e.gm = ispec * (fwd.df - rev.df) / (n * vt) * clm;
+  e.gds = ispec * (rev.df / vt * clm + (fwd.f - rev.f) * dclm);
   return e;
 }
 

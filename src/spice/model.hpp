@@ -55,20 +55,22 @@ struct MosEval {
   double gds = 0.0;  ///< d Id / d Vds [S]
 };
 
-/// Smooth EKV interpolation function F(u) = ln^2(1 + exp(u/2)).
-inline double ekv_f(double u) {
-  // Guard against overflow for strongly forward-biased inputs.
-  const double half = 0.5 * u;
-  const double l = half > 30.0 ? half : std::log1p(std::exp(half));
-  return l * l;
-}
+/// The EKV interpolation function F(u) = ln^2(1 + exp(u/2)) and its
+/// derivative dF/du = ln(1 + exp(u/2)) * sigmoid(u/2).
+struct Ekv {
+  double f = 0.0;
+  double df = 0.0;
+};
 
-/// dF/du = ln(1 + exp(u/2)) * sigmoid(u/2).
-inline double ekv_df(double u) {
+/// F and dF/du at `u` from one exp() and one log1p().
+inline Ekv ekv(double u) {
   const double half = 0.5 * u;
-  const double l = half > 30.0 ? half : std::log1p(std::exp(half));
-  const double sig = half > 30.0 ? 1.0 : std::exp(half) / (1.0 + std::exp(half));
-  return l * sig;
+  // Guard against overflow for strongly forward-biased inputs, where
+  // ln(1 + exp(u/2)) -> u/2 and the sigmoid -> 1.
+  if (half > 30.0) return {half * half, half};
+  const double e = std::exp(half);
+  const double l = std::log1p(e);
+  return {l * l, l * (e / (1.0 + e))};
 }
 
 /// Evaluates the drain current and small-signal parameters.

@@ -75,14 +75,16 @@ void report_counts(const linalg::SparseLu<T>& lu) {
   obs::counter_add("sim.lu.factor", c.factor);
   obs::counter_add("sim.lu.replay", c.replay);
   obs::counter_add("sim.lu.repivot", c.repivot);
+  obs::counter_add("sim.lu.rejoin", c.rejoin);
 }
 
 }  // namespace
 
 /// One analysis' real MNA state: the base prefix (linear devices and source
-/// matrix entries, stamped once), the slot values and right-hand side of the
-/// current Newton iteration, the factorization with its recorded pivots, and
-/// the solution buffer.
+/// matrix entries, stamped once), the capacitor companions of the current
+/// transient step, the slot values and right-hand side of the current Newton
+/// iteration, the factorization with its recorded pivots, and the solution
+/// buffer.
 struct Simulator::Workspace {
   explicit Workspace(const Simulator& sim)
       : base(static_cast<std::size_t>(sim.pattern_.nnz()), 0.0),
@@ -93,6 +95,10 @@ struct Simulator::Workspace {
   }
 
   std::vector<double> base;
+  /// Per capacitor: companion conductance and the current it injects into
+  /// terminal a.
+  std::vector<double> cap_geq;
+  std::vector<double> cap_ieq;
   std::vector<double> a;
   std::vector<double> b;
   std::vector<double> x;
@@ -130,7 +136,13 @@ Simulator::Simulator(const Circuit& circuit, DiagnosticsSink* diagnostics,
     append(branch_entries(v.p, v.n, nn + static_cast<int>(k)));
   }
   mos_at_ = stamps.size();
-  for (const Mosfet& m : ckt.mosfets()) append(mos_entries(m));
+  for (const Mosfet& m : ckt.mosfets()) {
+    for (NodeId t : {m.d, m.g, m.s, m.b}) {
+      OLP_CHECK(t >= 0 && t < ckt.node_count(),
+                "mosfet " + m.name + " has a terminal on no node");
+    }
+    append(mos_entries(m));
+  }
   cap_at_ = stamps.size();
   for (const LinearCap& c : caps_) append(conductance_entries(c.a, c.b));
   diag_at_ = stamps.size();
@@ -260,7 +272,10 @@ void Simulator::stamp_source_rhs(std::vector<double>& b, double t,
 MosOperatingPoint Simulator::eval_mosfet(const Mosfet& m,
                                          const std::vector<double>& x) const {
   const MosModel& model = circuit_.model(m.model);
-  auto v = [&](NodeId n) { return voltage(x, n); };
+  // Node ids were checked at construction and `x` by the caller.
+  auto v = [&x](NodeId n) {
+    return n == kGround ? 0.0 : x[static_cast<std::size_t>(n - 1)];
+  };
   const double vgs = v(m.g) - v(m.s);
   const double vds = v(m.d) - v(m.s);
   const double sigma = model.type == MosType::kNmos ? 1.0 : -1.0;
@@ -297,31 +312,41 @@ void Simulator::stamp_mosfets(std::vector<double>& a, std::vector<double>& b,
   }
 }
 
-void Simulator::stamp_caps(std::vector<double>& a, std::vector<double>& b,
-                           const std::vector<double>& x_prev,
-                           const std::vector<double>& icap, double h,
-                           bool trapezoidal) const {
+void Simulator::cap_companions(Workspace& ws,
+                               const std::vector<double>& x_prev,
+                               const std::vector<double>& icap, double h,
+                               bool trapezoidal) const {
+  ws.cap_geq.resize(caps_.size());
+  ws.cap_ieq.resize(caps_.size());
   for (std::size_t k = 0; k < caps_.size(); ++k) {
     const LinearCap& c = caps_[k];
     if (c.c <= 0) continue;
     const double va = c.a > 0 ? x_prev[static_cast<std::size_t>(c.a - 1)] : 0.0;
     const double vb = c.b > 0 ? x_prev[static_cast<std::size_t>(c.b - 1)] : 0.0;
     const double v_prev = va - vb;
-    double geq, ieq_into_a;
     if (trapezoidal) {
-      geq = 2.0 * c.c / h;
-      ieq_into_a = geq * v_prev + icap[k];
+      ws.cap_geq[k] = 2.0 * c.c / h;
+      ws.cap_ieq[k] = ws.cap_geq[k] * v_prev + icap[k];
     } else {
-      geq = c.c / h;
-      ieq_into_a = geq * v_prev;
+      ws.cap_geq[k] = c.c / h;
+      ws.cap_ieq[k] = ws.cap_geq[k] * v_prev;
     }
+  }
+}
+
+void Simulator::stamp_caps(Workspace& ws) const {
+  for (std::size_t k = 0; k < caps_.size(); ++k) {
+    const LinearCap& c = caps_[k];
+    if (c.c <= 0) continue;
+    const double geq = ws.cap_geq[k];
+    const double ieq_into_a = ws.cap_ieq[k];
     const int* s = slots(cap_at_, 4, k);
-    add(a, s[0], geq);
-    add(a, s[1], geq);
-    sub(a, s[2], geq);
-    sub(a, s[3], geq);
-    add_rhs(b, c.a - 1, ieq_into_a);
-    add_rhs(b, c.b - 1, -ieq_into_a);
+    add(ws.a, s[0], geq);
+    add(ws.a, s[1], geq);
+    sub(ws.a, s[2], geq);
+    sub(ws.a, s[3], geq);
+    add_rhs(ws.b, c.a - 1, ieq_into_a);
+    add_rhs(ws.b, c.b - 1, -ieq_into_a);
   }
 }
 
@@ -341,15 +366,13 @@ void Simulator::assemble_dc(Workspace& ws, const std::vector<double>& x,
   stamp_gmin(ws.a, gmin);
 }
 
-void Simulator::assemble_tran(Workspace& ws, const std::vector<double>& x_prev,
-                              const std::vector<double>& x,
-                              const std::vector<double>& icap, double t,
-                              double h, bool trapezoidal) const {
+void Simulator::assemble_tran(Workspace& ws, const std::vector<double>& x,
+                              double t) const {
   std::copy(ws.base.begin(), ws.base.end(), ws.a.begin());
   std::fill(ws.b.begin(), ws.b.end(), 0.0);
   stamp_source_rhs(ws.b, t, 1.0);
   stamp_mosfets(ws.a, ws.b, x);
-  stamp_caps(ws.a, ws.b, x_prev, icap, h, trapezoidal);
+  stamp_caps(ws);
   stamp_gmin(ws.a, 1e-12);
 }
 
@@ -369,7 +392,8 @@ MnaSystem Simulator::tran_system(const std::vector<double>& x_prev,
             "bad state size");
   Workspace ws(*this);
   const std::vector<double> icap(caps_.size(), 0.0);
-  assemble_tran(ws, x_prev, x, icap, t, h, false);
+  cap_companions(ws, x_prev, icap, h, false);
+  assemble_tran(ws, x, t);
   return MnaSystem{std::move(ws.a), std::move(ws.b)};
 }
 
@@ -531,6 +555,8 @@ std::vector<std::vector<double>> Simulator::dc_sweep(
 
 std::vector<MosOperatingPoint> Simulator::mos_operating_points(
     const std::vector<double>& x) const {
+  OLP_CHECK(static_cast<int>(x.size()) == n_unknowns(),
+            "solution vector size mismatch (non-converged sweep point?)");
   std::vector<MosOperatingPoint> ops;
   ops.reserve(circuit_.mosfets().size());
   for (const Mosfet& m : circuit_.mosfets()) {
@@ -693,8 +719,9 @@ TranResult Simulator::tran_attempt(Workspace& ws,
                                    const TranOptions& options) const {
   obs::counter_add("sim.tran.attempts");
   SimStats::global().tran_count++;
-  OLP_CHECK(options.dt > 0 && options.tstop > options.dt,
-            "transient needs dt > 0 and tstop > dt");
+  OLP_CHECK(options.dt > 0 && options.tstop > options.dt &&
+                options.record_stride > 0,
+            "transient needs dt > 0, tstop > dt and record_stride > 0");
   if (FaultInjector::global().should_fail(FaultSite::kTranNonConvergence)) {
     if (diag_) {
       diag_->report(DiagSeverity::kWarning, "chaos",
@@ -755,8 +782,9 @@ TranResult Simulator::tran_attempt(Workspace& ws,
                           const std::vector<double>& x_prev,
                           std::vector<double>& x_out) -> bool {
     x_out = x_prev;  // warm start
+    cap_companions(ws, x_prev, icap, h_at, trapezoidal);
     for (int iter = 0; iter < options.max_newton; ++iter) {
-      assemble_tran(ws, x_prev, x_out, icap, t_at, h_at, trapezoidal);
+      assemble_tran(ws, x_out, t_at);
       if (!ws.lu.factor(ws.a)) return false;
       ws.lu.solve(ws.b, ws.x);
 

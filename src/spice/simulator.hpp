@@ -69,7 +69,7 @@ struct AcResult {
 struct TranOptions {
   double tstop = 1e-9;    ///< simulation end time [s]
   double dt = 1e-12;      ///< fixed timestep [s]
-  int record_stride = 1;  ///< keep every k-th sample
+  int record_stride = 1;  ///< keep every k-th sample (k > 0)
   /// When true, the initial state is the DC operating point at t = 0 with any
   /// node initial conditions overriding the OP values (this is how the VCO
   /// testbench breaks ring symmetry).
@@ -210,22 +210,24 @@ class Simulator {
   /// Stamps linearized MOSFETs around the solution `x`.
   void stamp_mosfets(std::vector<double>& a, std::vector<double>& b,
                      const std::vector<double>& x) const;
-  /// Stamps the capacitors' companion models for a step of length `h` from
-  /// `x_prev` (trapezoidal with branch currents `icap`, else backward Euler).
-  void stamp_caps(std::vector<double>& a, std::vector<double>& b,
-                  const std::vector<double>& x_prev,
-                  const std::vector<double>& icap, double h,
-                  bool trapezoidal) const;
+  /// Computes the capacitors' companion models into `ws` for a step of
+  /// length `h` from `x_prev` (trapezoidal with branch currents `icap`, else
+  /// backward Euler). They do not depend on the Newton iterate, so every
+  /// iteration of one step's solve stamps the same companions.
+  void cap_companions(Workspace& ws, const std::vector<double>& x_prev,
+                      const std::vector<double>& icap, double h,
+                      bool trapezoidal) const;
+  /// Stamps the companion models that cap_companions() left in `ws`.
+  void stamp_caps(Workspace& ws) const;
   /// Adds `g` to every node's diagonal.
   void stamp_gmin(std::vector<double>& a, double g) const;
   /// The DC Newton system at `x`: base, source values, MOSFETs, gmin.
   void assemble_dc(Workspace& ws, const std::vector<double>& x, double gmin,
                    double source_scale) const;
-  /// A transient Newton system at iterate `x` for the step from `x_prev`.
-  void assemble_tran(Workspace& ws, const std::vector<double>& x_prev,
-                     const std::vector<double>& x,
-                     const std::vector<double>& icap, double t, double h,
-                     bool trapezoidal) const;
+  /// A transient Newton system at iterate `x` and time `t`, with the
+  /// step's companions from cap_companions().
+  void assemble_tran(Workspace& ws, const std::vector<double>& x,
+                     double t) const;
 
   /// Effective MOS terminal small-signal quantities (shared by OP/AC paths).
   MosOperatingPoint eval_mosfet(const Mosfet& m,

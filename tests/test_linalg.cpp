@@ -416,6 +416,82 @@ TEST(SparseLuParity, RandomMnaSystemsReal) { run_random_parity<double>(2024); }
 
 TEST(SparseLuParity, RandomMnaSystemsComplex) { run_random_parity<C>(4048); }
 
+TEST(SparseLuParity, ResumedSearchesRejoinTheRecordAndStillMatch) {
+  // Newton-like sequences: each factorization rescales a few entries of the
+  // last system, so a pivot changes here and there while the rest of the
+  // elimination stays as recorded. Resumed searches then rejoin the record
+  // at varying distances, and every solution must still equal the dense one.
+  // Half the trials keep values on a small set (powers of two), where ties
+  // make the pivot depend on the rows' current positions.
+  Rng rng(99);
+  long repivots = 0, rejoins = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    MnaCase<double> c = random_case<double>(rng);
+    while (c.nodes < 12) c = random_case<double>(rng);
+    const SparsePattern p = c.pattern();
+    SparseLu<double> lu(p);
+    const bool ties = trial % 2 == 1;
+    std::vector<double> v = c.values(p, rng, ties, 0.0, 1e-12);
+    for (int rep = 0; rep < 40; ++rep) {
+      for (int k = rng.uniform_int(1, 3); k > 0; --k) {
+        v[static_cast<std::size_t>(rng.uniform_int(0, p.nnz() - 1))] *=
+            ties ? std::ldexp(1.0, rng.uniform_int(-2, 2))
+                 : std::exp(rng.uniform(-4.0, 4.0));
+      }
+      expect_parity(p, lu, v, random_rhs<double>(c.size(), rng));
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "trial " << trial << " rep " << rep << " n=" << c.size();
+      }
+    }
+    repivots += lu.counts().repivot;
+    rejoins += lu.counts().rejoin;
+  }
+  EXPECT_GT(repivots, 1000);
+  EXPECT_GT(rejoins, 500);
+}
+
+TEST(SparseLuParity, RejoinNeedsEqualRowPositions) {
+  // Rows 2 and 3 share a structure and hold the only entries of columns 0
+  // and 1. The first system pivots row 2 then row 3, the second row 3 then
+  // row 2: the same rows pivoted, the same structure left, but rows 0 and 1
+  // (displaced by the swaps) trade positions. Their column-2 entries tie,
+  // so the row now at position 2, row 1, must win step 2; the record of the
+  // first system would pick row 0.
+  auto system = [](double a, double b) {
+    RealMatrix m(5, 5);
+    m(0, 2) = 1, m(0, 3) = 0.3, m(0, 4) = 0.7;
+    m(1, 2) = -1, m(1, 3) = 0.55, m(1, 4) = 0.11;
+    m(2, 0) = a, m(2, 1) = 1, m(2, 2) = 1, m(2, 3) = 1, m(2, 4) = 1;
+    m(3, 0) = b, m(3, 1) = 2, m(3, 2) = 1, m(3, 3) = 3, m(3, 4) = 1;
+    m(4, 3) = 0.13, m(4, 4) = 0.17;
+    return m;
+  };
+  // The nonzeros only: an explicit zero on a diagonal would make rows 0, 1
+  // and 4 candidates of steps 0 and 1.
+  std::vector<std::pair<int, int>> entries;
+  const RealMatrix m1 = system(4, 1), m2 = system(1, 4);
+  for (std::size_t r = 0; r < 5; ++r) {
+    for (std::size_t c = 0; c < 5; ++c) {
+      if (m1(r, c) != 0.0) {
+        entries.emplace_back(static_cast<int>(r), static_cast<int>(c));
+      }
+    }
+  }
+  const SparsePattern p(5, entries);
+  std::vector<double> v1, v2;
+  for (const auto& [r, c] : entries) {
+    const std::size_t rs = static_cast<std::size_t>(r);
+    const std::size_t cs = static_cast<std::size_t>(c);
+    v1.push_back(m1(rs, cs));
+    v2.push_back(m2(rs, cs));
+  }
+  SparseLu<double> lu(p);
+  const std::vector<double> b{1.0, 2.0, 3.0, 4.0, 5.0};
+  EXPECT_TRUE(expect_parity(p, lu, v1, b));
+  EXPECT_TRUE(expect_parity(p, lu, v2, b));
+  EXPECT_EQ(lu.counts().repivot, 1);
+}
+
 TEST(SparseLuParity, TieBreaksByCurrentRowPosition) {
   // Step 0 pivots row 3 and swaps row 0 into position 3. At step 1, rows 0
   // (position 3) and 2 (position 2) tie on |1|; the dense rule takes the

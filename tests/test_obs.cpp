@@ -17,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "circuits/flow.hpp"
 #include "circuits/ota5t.hpp"
 #include "util/logging.hpp"
@@ -473,7 +475,10 @@ class ObsFlowOnOta : public ::testing::Test {
     circuits::FlowEngine plain(*tech_, opt);
     plain.run(circuits::FlowMode::kOptimize, ota_->instances(), ota_->routed_nets(), &plain_report_);
 
-    artifacts_dir_ = ::testing::TempDir() + "/olp_obs_artifacts";
+    // One directory per process: ctest runs each test of this fixture in its
+    // own process, in parallel, and each removes its directory at the end.
+    artifacts_dir_ = ::testing::TempDir() + "/olp_obs_artifacts_" +
+                     std::to_string(::getpid());
     opt.trace_artifacts_dir = artifacts_dir_;
     Registry::global().enable();
     circuits::FlowEngine traced(*tech_, opt);

@@ -250,6 +250,25 @@ TEST(DcOp, FloatingNodeHandledByGmin) {
   EXPECT_TRUE(op.converged);
 }
 
+TEST(DcOp, RejectsMosfetOnUnknownNode) {
+  // Terminal ids are checked once, when the simulator is built; device
+  // evaluation then reads node voltages unchecked.
+  for (NodeId bad : {-2, 3}) {
+    Circuit c;
+    const int nm = c.add_model(circuits::default_nmos());
+    const NodeId d = c.node("d");
+    const NodeId g = c.node("g");
+    Mosfet m;
+    m.name = "m1";
+    m.d = d;
+    m.g = g;
+    m.s = bad;
+    m.model = nm;
+    c.add_mosfet(m);
+    EXPECT_THROW(Simulator{c}, InvalidArgumentError) << bad;
+  }
+}
+
 TEST(DcOp, ParsedNetlistMatchesProgrammatic) {
   const Circuit c = parse_netlist(R"(
 V1 in 0 DC 2.0

@@ -194,7 +194,22 @@ TEST(Tran, RejectsBadOptions) {
   EXPECT_THROW(sim.tran(tr), InvalidArgumentError);
 }
 
-// --- time-domain measurement helpers ----------------------------------------
+TEST(Tran, RejectsNonPositiveRecordStride) {
+  // A stride of zero used to divide by zero once the first step was taken.
+  Circuit c;
+  const NodeId out = c.node("out");
+  c.add_resistor("r", out, kGround, 1e3);
+  Simulator sim(c);
+  TranOptions tr;
+  tr.tstop = 1e-9;
+  tr.dt = 1e-10;
+  for (int stride : {0, -1}) {
+    tr.record_stride = stride;
+    EXPECT_THROW(sim.tran(tr), InvalidArgumentError) << stride;
+  }
+  tr.record_stride = 1;
+  EXPECT_TRUE(sim.tran(tr).ok);
+}
 
 TEST(TranAssembly, VcoRingStepSystemsMatchDenseOracle) {
   // The Table VII ring (8 stages, extracted primitives) from its t=0 state:
@@ -253,6 +268,50 @@ TEST(TranAssembly, VcoRingStepSystemsMatchDenseOracle) {
   EXPECT_EQ(lu.counts().factor + lu.counts().replay, solves);
   EXPECT_GT(lu.counts().replay, lu.counts().factor);
 }
+
+TEST(TranAssembly, OscillatingRingRejectedReplaysMatchDenseOracle) {
+  // The same ring oscillating at Vctrl = 0.5 V: as the wave travels round
+  // the ring its devices switch, the pivot order changes and replays are
+  // rejected part-way, so the solver resumes its pivot search at many
+  // different steps. Each system is one backward-Euler step between two
+  // consecutive samples of the transient itself.
+  const tech::Technology t = tech::make_default_finfet_tech();
+  circuits::RoVco vco(t);
+  ASSERT_TRUE(vco.prepare());
+  circuits::Realization real =
+      circuits::schematic_realization(vco.instances(), t);
+  real.ideal = false;
+  const Circuit ckt = vco.build(real, 0.5);
+  const Simulator sim(ckt);
+  TranOptions tr;
+  tr.dt = 1e-12;
+  tr.tstop = 60e-12;
+  const TranResult res = sim.tran(tr);
+  ASSERT_TRUE(res.ok);
+  ASSERT_EQ(res.samples.size(), 61u);
+
+  const linalg::SparsePattern& p = sim.pattern();
+  linalg::SparseLu<double> lu(p);
+  for (std::size_t k = 1; k < res.samples.size(); ++k) {
+    const MnaSystem sys = sim.tran_system(res.samples[k - 1], res.samples[k],
+                                          res.times[k], tr.dt);
+    std::vector<double> dense_x, sparse_x;
+    ASSERT_TRUE(linalg::oracle::solve(linalg::oracle::to_dense(p, sys.values),
+                                      sys.rhs, dense_x));
+    ASSERT_TRUE(lu.factor(sys.values)) << "sample " << k;
+    lu.solve(sys.rhs, sparse_x);
+    ASSERT_EQ(sparse_x.size(), dense_x.size());
+    ASSERT_EQ(0, std::memcmp(sparse_x.data(), dense_x.data(),
+                             dense_x.size() * sizeof(double)))
+        << "sample " << k;
+  }
+  EXPECT_EQ(lu.counts().factor, 1 + lu.counts().repivot);
+  EXPECT_GT(lu.counts().repivot, 10);
+  EXPECT_GT(lu.counts().rejoin, 10);
+  EXPECT_GT(lu.counts().replay, 0);
+}
+
+// --- time-domain measurement helpers ----------------------------------------
 
 TEST(Measure, CrossingTimesOfSine) {
   std::vector<double> times, wave;
