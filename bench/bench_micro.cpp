@@ -252,6 +252,31 @@ void BM_PrimitiveEvaluation(benchmark::State& state) {
 }
 BENCHMARK(BM_PrimitiveEvaluation);
 
+// One extracted current-starved inverter evaluation (8 fins, 4 fingers): an
+// operating point, an AC point and the delay bench's transient, which ends
+// at the output's mid-rail crossing.
+void BM_StarvedInverterEval(benchmark::State& state) {
+  const tech::Technology t = tech::make_default_finfet_tech();
+  const pcell::PrimitiveGenerator gen(t);
+  pcell::LayoutConfig cfg;
+  cfg.nfin = 8;
+  cfg.nf = 4;
+  cfg.m = 1;
+  const pcell::PrimitiveLayout lay =
+      gen.generate(pcell::make_current_starved_inverter(), cfg);
+  core::BiasContext bias;
+  bias.vdd = t.vdd;
+  bias.port_voltage = {{"vbn", 0.4}, {"vbp", t.vdd - 0.4}};
+  bias.port_load_cap = {{"out", 4e-15}};
+  const core::PrimitiveEvaluator eval(t, circuits::default_nmos(),
+                                      circuits::default_pmos(), bias);
+  for (auto _ : state) {
+    const core::MetricValues v = eval.evaluate(lay, {});
+    benchmark::DoNotOptimize(v.size());
+  }
+}
+BENCHMARK(BM_StarvedInverterEval)->Unit(benchmark::kMicrosecond);
+
 void BM_Placer(benchmark::State& state) {
   Rng rng(3);
   std::vector<place::Block> blocks;

@@ -624,16 +624,21 @@ MetricValues PrimitiveEvaluator::eval_starved_inverter(
         spice::Waveform::pulse(0.0, bias_.vdd, 50e-12, 10e-12, 10e-12,
                                2e-9, 4e-9));
     spice::Simulator sim(b.ckt, diag_, budget_);
+    const double mid = 0.5 * bias_.vdd;
     spice::TranOptions tr;
     tr.tstop = 1.2e-9;
     tr.dt = 1e-12;
+    // The delay is decided at the output's first mid-rail crossing, near
+    // 60 ps of the 1.2 ns window; later steps cannot change it.
+    tr.stop = spice::delay_decided_stop(sim, b.ext.at("in"), mid, true,
+                                        b.ext.at("out"), mid, false);
     const spice::TranResult res = sim.tran(tr);
     const std::vector<double> win =
         spice::tran_waveform(sim, res, b.ext.at("in"));
     const std::vector<double> wout =
         spice::tran_waveform(sim, res, b.ext.at("out"));
-    const auto delay = spice::delay_between(
-        res.times, win, 0.5 * bias_.vdd, true, wout, 0.5 * bias_.vdd, false);
+    const auto delay =
+        spice::delay_between(res.times, win, mid, true, wout, mid, false);
     out[MetricKind::kDelay] = delay.value_or(1e-9);
     count_testbench();
   }

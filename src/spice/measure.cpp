@@ -7,6 +7,16 @@
 
 namespace olp::spice {
 
+namespace {
+
+/// Whether the interval from `a` to `b` crosses `level` in the given
+/// direction (the sample that reaches the level belongs to the crossing).
+bool crosses(double a, double b, double level, bool rising) {
+  return rising ? (a < level && b >= level) : (a > level && b <= level);
+}
+
+}  // namespace
+
 std::vector<double> log_frequencies(double f_lo, double f_hi,
                                     int points_per_decade) {
   OLP_CHECK(f_lo > 0 && f_hi > f_lo, "bad frequency range");
@@ -139,10 +149,7 @@ std::vector<double> crossing_times(const std::vector<double>& times,
   OLP_CHECK(times.size() == wave.size(), "time/wave size mismatch");
   std::vector<double> crossings;
   for (std::size_t i = 1; i < wave.size(); ++i) {
-    const bool crossed = rising
-                             ? (wave[i - 1] < level && wave[i] >= level)
-                             : (wave[i - 1] > level && wave[i] <= level);
-    if (!crossed) continue;
+    if (!crosses(wave[i - 1], wave[i], level, rising)) continue;
     const double dv = wave[i] - wave[i - 1];
     const double frac = dv == 0.0 ? 0.0 : (level - wave[i - 1]) / dv;
     crossings.push_back(times[i - 1] + frac * (times[i] - times[i - 1]));
@@ -164,6 +171,31 @@ std::optional<double> delay_between(const std::vector<double>& times,
     if (t >= t_ref) return t - t_ref;
   }
   return std::nullopt;
+}
+
+std::function<bool(const TranResult&)> delay_decided_stop(
+    const Simulator& sim, NodeId ref, double ref_level, bool ref_rising,
+    NodeId sig, double sig_level, bool sig_rising, int ref_skip) {
+  return [&sim, ref, ref_level, ref_rising, sig, sig_level, sig_rising,
+          ref_skip](const TranResult& so_far) {
+    const std::vector<std::vector<double>>& s = so_far.samples;
+    const std::size_t m = s.size();
+    if (m < 2) return false;
+    // A prefix without a value gains one only through a new crossing.
+    auto newest_crosses = [&](NodeId node, double level, bool rising) {
+      return crosses(sim.voltage(s[m - 2], node), sim.voltage(s[m - 1], node),
+                     level, rising);
+    };
+    if (!newest_crosses(ref, ref_level, ref_rising) &&
+        !newest_crosses(sig, sig_level, sig_rising)) {
+      return false;
+    }
+    return delay_between(so_far.times, tran_waveform(sim, so_far, ref),
+                         ref_level, ref_rising,
+                         tran_waveform(sim, so_far, sig), sig_level,
+                         sig_rising, ref_skip)
+        .has_value();
+  };
 }
 
 std::optional<double> oscillation_frequency(const std::vector<double>& times,

@@ -2,6 +2,7 @@
 // Post-processing measurements on analysis results (the ".measure" layer).
 
 #include <complex>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -68,6 +69,18 @@ std::optional<double> delay_between(const std::vector<double>& times,
                                     const std::vector<double>& sig,
                                     double sig_level, bool sig_rising,
                                     int ref_skip = 0);
+
+/// Transient stop (TranOptions::stop) for a run read only by delay_between()
+/// of the voltages at `ref` and `sig` with these arguments. Checked after
+/// every recorded sample, it first returns true on the first prefix of
+/// samples on which that delay has a value, and that value equals the full
+/// run's bit for bit: a prefix's crossings are a prefix of the full run's, so
+/// the k-th reference crossing and the first signal crossing at or after it
+/// are fixed once both appear. It reads only the newest interval unless that
+/// interval holds a crossing of either node. `sim` must outlive the stop.
+std::function<bool(const TranResult&)> delay_decided_stop(
+    const Simulator& sim, NodeId ref, double ref_level, bool ref_rising,
+    NodeId sig, double sig_level, bool sig_rising, int ref_skip = 0);
 
 /// Oscillation frequency from the mean period of the last `periods` rising
 /// crossings of `level`; nullopt when fewer crossings exist.

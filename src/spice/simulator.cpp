@@ -820,15 +820,19 @@ TranResult Simulator::tran_attempt(Workspace& ws,
     }
   };
 
+  // Every exit reports the steps taken once, not once per step.
+  auto finish = [&](bool ok, long taken) {
+    obs::counter_add("sim.tran.steps", taken);
+    result.ok = ok;
+    return std::move(result);
+  };
+
   long recorded = 0;
   std::vector<double> x_new;
   for (long step = 1; step <= steps; ++step) {
     // Budget-bounded timestepping: a truncated transient is reported as
     // ok=false so callers degrade instead of trusting partial waveforms.
-    if (budget_ != nullptr && budget_->check()) {
-      result.ok = false;
-      return result;
-    }
+    if (budget_ != nullptr && budget_->check()) return finish(false, step - 1);
     const double t = static_cast<double>(step) * h;
     // First step uses backward Euler (no valid cap-current history yet).
     const bool trapezoidal = !options.backward_euler && step > 1;
@@ -860,8 +864,7 @@ TranResult Simulator::tran_attempt(Workspace& ws,
           diag_->report(DiagSeverity::kWarning, "simulator", "tran",
                         "transient Newton failed at t=" + std::to_string(t));
         }
-        result.ok = false;
-        return result;
+        return finish(false, step - 1);
       }
       x_new = std::move(x_sub);
     }
@@ -871,10 +874,13 @@ TranResult Simulator::tran_attempt(Workspace& ws,
     if (recorded % options.record_stride == 0 || step == steps) {
       result.times.push_back(t);
       result.samples.push_back(x);
+      if (options.stop && options.stop(result)) {
+        obs::counter_add("sim.tran.stopped");
+        return finish(true, step);
+      }
     }
   }
-  result.ok = true;
-  return result;
+  return finish(true, steps);
 }
 
 }  // namespace olp::spice

@@ -66,6 +66,8 @@ struct AcResult {
   std::vector<std::vector<std::complex<double>>> solutions;
 };
 
+struct TranResult;
+
 struct TranOptions {
   double tstop = 1e-9;    ///< simulation end time [s]
   double dt = 1e-12;      ///< fixed timestep [s]
@@ -80,6 +82,13 @@ struct TranOptions {
   /// On ok=false, retry this many times with backward Euler and halved dt
   /// before giving up (0 disables the ladder).
   int max_retries = 2;
+  /// Stop condition, checked after each recorded sample with the samples
+  /// recorded so far; returning true ends the attempt there with ok = true.
+  /// Empty (the default) runs to `tstop`. Every retry attempt restarts from
+  /// t = 0 and calls it again, so it must be a pure function of the samples.
+  /// A run that would have failed only after its stop fires no longer
+  /// triggers the retry ladder: its result is the stopped prefix.
+  std::function<bool(const TranResult& so_far)> stop;
 };
 
 struct TranResult {

@@ -259,15 +259,30 @@ OLP_SERVICE_JOURNAL="${journal}" OLP_SERVICE_WORKERS=1 \
 pid=$!
 exec 3> "${tmp}/in5"
 
-# One slow job holds the single worker; three keyed jobs queue behind it.
-# Every accept is journaled before the event is emitted, so once the accepts
-# are visible the work is durable — kill -9 cannot lose it.
-echo '{"op":"submit","id":"hold","client":"smoke","circuit":"vco","mode":"optimize","seed":21,"deadline_ms":4000,"key":"hold-key"}' >&3
-wait_for '{"id":"hold","event":"accepted"' "${tmp}/out5" 30
-echo '{"op":"submit","id":"r1","client":"smoke","circuit":"vco","mode":"conventional","key":"key-1"}' >&3
-echo '{"op":"submit","id":"r2","client":"smoke","circuit":"vco","mode":"conventional","key":"key-2"}' >&3
-echo '{"op":"submit","id":"r3","client":"smoke","circuit":"vco","mode":"conventional","key":"key-3"}' >&3
-wait_for '{"id":"r3","event":"accepted"' "${tmp}/out5" 30
+# Three exhaustive-oracle jobs hold the single worker (about 120 ms
+# together on a 4-core host; one client's queue is FIFO, and each circuit
+# starts with a cold cache); three keyed jobs queue behind them. All six go
+# in one write, and the kill follows the last accept within a 10 ms poll,
+# so the keyed jobs are still queued when it lands. Every accept is
+# journaled before the event is emitted, so once the accepts are visible
+# the work is durable — kill -9 cannot lose it.
+{
+  for c in vco ota5t strongarm; do
+    echo "{\"op\":\"submit\",\"id\":\"hold-${c}\",\"client\":\"smoke\",\"circuit\":\"${c}\",\"mode\":\"manual_oracle\",\"seed\":21,\"deadline_ms\":4000,\"key\":\"hold-${c}\"}"
+  done
+  for k in 1 2 3; do
+    echo "{\"op\":\"submit\",\"id\":\"r${k}\",\"client\":\"smoke\",\"circuit\":\"vco\",\"mode\":\"conventional\",\"key\":\"key-${k}\"}"
+  done
+} >&3
+deadline=$((SECONDS + 30))
+until grep -qF '{"id":"r3","event":"accepted"' "${tmp}/out5" 2>/dev/null; do
+  if ((SECONDS >= deadline)); then
+    echo "service smoke: timed out waiting for the r3 accept" >&2
+    cat "${tmp}/out5" >&2
+    exit 1
+  fi
+  sleep 0.01
+done
 kill -9 "${pid}"
 wait "${pid}" 2>/dev/null || true
 exec 3>&-

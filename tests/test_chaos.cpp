@@ -33,6 +33,7 @@
 #include "util/diag.hpp"
 #include "util/faults.hpp"
 #include "util/logging.hpp"
+#include "util/obs.hpp"
 
 namespace olp {
 namespace {
@@ -245,8 +246,9 @@ TEST(Chaos, CleanRunReportsNothing) {
 TEST(Chaos, TranFaultSiteFiresInStarvedInverterEvaluation) {
   // The OTA flow has no transient testbench; cover the tran site through the
   // current-starved inverter, whose delay bench is the only tran user. The
-  // injected failure must engage the backward-Euler retry and still produce
-  // finite metrics.
+  // injected failure must engage the backward-Euler retry, which must end at
+  // its own deciding sample like the first attempt would have, and still
+  // produce finite metrics.
   set_log_level(LogLevel::kOff);
   const pcell::PrimitiveGenerator gen(t());
   pcell::LayoutConfig cfg;
@@ -269,12 +271,22 @@ TEST(Chaos, TranFaultSiteFiresInStarvedInverterEvaluation) {
   config.tran_rate = 1.0;
   config.max_total_fires = 1;  // first tran attempt fails, retries are clean
   core::MetricValues values;
+  obs::Registry::global().enable();
   {
     ScopedFaultInjection chaos(config);
     core::EvalCondition cond;  // extracted mode
     values = eval.evaluate(lay, cond);
   }
+  obs::Registry::global().disable();
   set_log_level(LogLevel::kWarn);
+  const obs::Snapshot snap = obs::Registry::global().snapshot();
+  EXPECT_EQ(snap.counter("sim.tran.attempts"), 2);
+  EXPECT_EQ(snap.counter("sim.tran.retries"), 1);
+  EXPECT_EQ(snap.counter("sim.tran.stopped"), 1);
+  // The retry at dt = 0.5 ps stops within the first half of its window of
+  // about 2,400 steps.
+  EXPECT_GT(snap.counter("sim.tran.steps"), 0);
+  EXPECT_LT(snap.counter("sim.tran.steps"), 1200);
   EXPECT_EQ(FaultInjector::global().fired(FaultSite::kTranNonConvergence), 1);
   EXPECT_EQ(sink.count("chaos", fault_site_name(FaultSite::kTranNonConvergence)),
             1u);

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "circuits/common.hpp"
 #include "core/evaluator.hpp"
 #include "pcell/generator.hpp"
@@ -251,6 +254,137 @@ TEST(Evaluator, StarvedInverterDelayFallsWithControl) {
     return eval.evaluate(lay, ideal).at(MetricKind::kDelay);
   };
   EXPECT_GT(delay_at(0.2), delay_at(0.5));
+}
+
+// The delay bench's transient ends at the step that decides its delay; the
+// delay must keep every bit it had when the bench ran the whole 1.2 ns
+// window. Golden bits recorded from the full-window bench. At vbn = 0 the
+// starved inverter switches late (up to 1.14 ns on extracted 4-fin, 1-finger
+// layouts), near the end of the window.
+TEST(Evaluator, StarvedInverterDelayBitsMatchFullWindowGolden) {
+  struct Case {
+    double vbn;
+    int nfin;
+    int nf;
+    bool ideal;
+    std::uint64_t delay_bits;
+  };
+  static constexpr Case kGolden[] = {
+      {0.0, 4, 1, true, 0x3e0400dca4c3ef71ULL},
+      {0.0, 4, 1, false, 0x3e13a53d26fa4047ULL},
+      {0.0, 4, 2, true, 0x3df5afd0805639a4ULL},
+      {0.0, 4, 2, false, 0x3e03034d3f8354e8ULL},
+      {0.0, 4, 4, true, 0x3de8a448692c9042ULL},
+      {0.0, 4, 4, false, 0x3df3315197b1decaULL},
+      {0.0, 4, 8, true, 0x3dddbc8a97b13ec9ULL},
+      {0.0, 4, 8, false, 0x3de509984d03f468ULL},
+      {0.0, 8, 1, true, 0x3df5afd0805639a4ULL},
+      {0.0, 8, 1, false, 0x3e05883f069d0a27ULL},
+      {0.0, 8, 2, true, 0x3de8a448692c9042ULL},
+      {0.0, 8, 2, false, 0x3df5e158ca1fa837ULL},
+      {0.0, 8, 4, true, 0x3dddbc8a97b13ec9ULL},
+      {0.0, 8, 4, false, 0x3de79160401c5d9aULL},
+      {0.0, 8, 8, true, 0x3dd3871bb6a44aa1ULL},
+      {0.0, 8, 8, false, 0x3ddc55f1cf68e8ebULL},
+      {0.0, 16, 1, true, 0x3de8a448692c9042ULL},
+      {0.0, 16, 1, false, 0x3df919a2b6d81bf2ULL},
+      {0.0, 16, 2, true, 0x3dddbc8a97b13ec9ULL},
+      {0.0, 16, 2, false, 0x3deb0760c2e56a54ULL},
+      {0.0, 16, 4, true, 0x3dd3871bb6a44aa1ULL},
+      {0.0, 16, 4, false, 0x3ddfc9f614b6d117ULL},
+      {0.0, 16, 8, true, 0x3dcc9d1898eb6cd2ULL},
+      {0.0, 16, 8, false, 0x3dd5be8a9d638169ULL},
+      {0.2, 4, 1, true, 0x3db9704bb1208100ULL},
+      {0.2, 4, 1, false, 0x3dc1cfb2347058ccULL},
+      {0.2, 4, 2, true, 0x3dabf603c1658bf0ULL},
+      {0.2, 4, 2, false, 0x3db2ce6601105cb8ULL},
+      {0.2, 4, 4, true, 0x3da06d6f0f01e948ULL},
+      {0.2, 4, 4, false, 0x3da5c391dcc22900ULL},
+      {0.2, 4, 8, true, 0x3d956052c72bdf30ULL},
+      {0.2, 4, 8, false, 0x3d9e10286926db80ULL},
+      {0.2, 8, 1, true, 0x3dabf603c1658bf0ULL},
+      {0.2, 8, 1, false, 0x3db4999168ae6e10ULL},
+      {0.2, 8, 2, true, 0x3da06d6f0f01e948ULL},
+      {0.2, 8, 2, false, 0x3da7534ab4b1e600ULL},
+      {0.2, 8, 4, true, 0x3d956052c72bdf30ULL},
+      {0.2, 8, 4, false, 0x3d9e55adb36b1b80ULL},
+      {0.2, 8, 8, true, 0x3d8edf5a25e7b680ULL},
+      {0.2, 8, 8, false, 0x3d996871cf5a77a0ULL},
+      {0.2, 16, 1, true, 0x3da06d6f0f01e948ULL},
+      {0.2, 16, 1, false, 0x3dab7287d909c0e8ULL},
+      {0.2, 16, 2, true, 0x3d956052c72bdf30ULL},
+      {0.2, 16, 2, false, 0x3da1120e518cc448ULL},
+      {0.2, 16, 4, true, 0x3d8edf5a25e7b680ULL},
+      {0.2, 16, 4, false, 0x3d99dededb799560ULL},
+      {0.2, 16, 8, true, 0x3d888f8af58f3370ULL},
+      {0.2, 16, 8, false, 0x3d9a2c1b46a4a480ULL},
+      {0.4, 4, 1, true, 0x3da367e0f6c06ce8ULL},
+      {0.4, 4, 1, false, 0x3da73fe7d9a366e8ULL},
+      {0.4, 4, 2, true, 0x3d996bfffd97c610ULL},
+      {0.4, 4, 2, false, 0x3d9dc911e0c2dc40ULL},
+      {0.4, 4, 4, true, 0x3d9252f201fea470ULL},
+      {0.4, 4, 4, false, 0x3d95ddcae0fd1e60ULL},
+      {0.4, 4, 8, true, 0x3d8b703487652020ULL},
+      {0.4, 4, 8, false, 0x3d92936c6378c880ULL},
+      {0.4, 8, 1, true, 0x3d996bfffd97c610ULL},
+      {0.4, 8, 1, false, 0x3d9fad3d2930dda0ULL},
+      {0.4, 8, 2, true, 0x3d9252f201fea470ULL},
+      {0.4, 8, 2, false, 0x3d96947ea4dca240ULL},
+      {0.4, 8, 4, true, 0x3d8b703487652020ULL},
+      {0.4, 8, 4, false, 0x3d921c390e74f850ULL},
+      {0.4, 8, 8, true, 0x3d854a5041772df0ULL},
+      {0.4, 8, 8, false, 0x3d9178a7d40af840ULL},
+      {0.4, 16, 1, true, 0x3d9252f201fea470ULL},
+      {0.4, 16, 1, false, 0x3d996895500570e0ULL},
+      {0.4, 16, 2, true, 0x3d8b703487652020ULL},
+      {0.4, 16, 2, false, 0x3d93879e48cb23b0ULL},
+      {0.4, 16, 4, true, 0x3d854a5041772df0ULL},
+      {0.4, 16, 4, false, 0x3d9126e8af55f970ULL},
+      {0.4, 16, 8, true, 0x3d81ea168b23fac0ULL},
+      {0.4, 16, 8, false, 0x3d93a4d6451869f0ULL},
+      {0.5, 4, 1, true, 0x3da147014841e3e8ULL},
+      {0.5, 4, 1, false, 0x3da4555b20b30ea0ULL},
+      {0.5, 4, 2, true, 0x3d9780cd83a00660ULL},
+      {0.5, 4, 2, false, 0x3d9b18b014cd2540ULL},
+      {0.5, 4, 4, true, 0x3d9129624f88ca40ULL},
+      {0.5, 4, 4, false, 0x3d9486d3129e85f0ULL},
+      {0.5, 4, 8, true, 0x3d89d9131f9ed370ULL},
+      {0.5, 4, 8, false, 0x3d91b12a9be72010ULL},
+      {0.5, 8, 1, true, 0x3d9780cd83a00660ULL},
+      {0.5, 8, 1, false, 0x3d9cae42d4968b50ULL},
+      {0.5, 8, 2, true, 0x3d9129624f88ca40ULL},
+      {0.5, 8, 2, false, 0x3d95217cb8b4e6b0ULL},
+      {0.5, 8, 4, true, 0x3d89d9131f9ed370ULL},
+      {0.5, 8, 4, false, 0x3d912f404f7ca770ULL},
+      {0.5, 8, 8, true, 0x3d844f211324b240ULL},
+      {0.5, 8, 8, false, 0x3d90da7d6a3c7710ULL},
+      {0.5, 16, 1, true, 0x3d9129624f88ca40ULL},
+      {0.5, 16, 1, false, 0x3d97bf8b1efffec0ULL},
+      {0.5, 16, 2, true, 0x3d89d9131f9ed370ULL},
+      {0.5, 16, 2, false, 0x3d92958edc22be80ULL},
+      {0.5, 16, 4, true, 0x3d844f211324b240ULL},
+      {0.5, 16, 4, false, 0x3d90853cf69cd130ULL},
+      {0.5, 16, 8, true, 0x3d80cb3d93bb60d0ULL},
+      {0.5, 16, 8, false, 0x3d933040e83ccb20ULL},
+  };
+  const pcell::PrimitiveGenerator gen(t());
+  for (const Case& g : kGolden) {
+    BiasContext b;
+    b.vdd = t().vdd;
+    b.port_voltage = {{"vbn", g.vbn}, {"vbp", t().vdd - g.vbn}};
+    b.port_load_cap = {{"out", 4e-15}};
+    const PrimitiveEvaluator eval = make_eval(b);
+    const pcell::PrimitiveLayout lay = gen.generate(
+        pcell::make_current_starved_inverter(), cfg(g.nfin, g.nf, 1));
+    EvalCondition c;
+    c.ideal = g.ideal;
+    const double delay = eval.evaluate(lay, c).at(MetricKind::kDelay);
+    double golden = 0.0;
+    std::memcpy(&golden, &g.delay_bits, sizeof golden);
+    EXPECT_EQ(std::memcmp(&delay, &golden, sizeof delay), 0)
+        << "vbn=" << g.vbn << " nfin=" << g.nfin << " nf=" << g.nf
+        << " ideal=" << g.ideal << ": " << delay << " vs " << golden;
+  }
 }
 
 TEST(Evaluator, SwitchOnCurrent) {

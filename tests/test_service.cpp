@@ -225,7 +225,9 @@ TEST(Service, DeadlineBudgetDegradesInsteadOfHanging) {
   LayoutService svc(t(), small_options());
   svc.start();
   ServiceRequest r = vco_request("tight", "alice");
-  r.mode = circuits::FlowMode::kOptimize;  // long enough to trip 1 ms
+  // The VCO optimize flow takes about 40 ms (4-core host, Release),
+  // far past the 1 ms deadline.
+  r.mode = circuits::FlowMode::kOptimize;
   r.deadline_ms = 1.0;
   std::promise<RequestOutcome> done;
   auto future = done.get_future();
@@ -251,13 +253,15 @@ TEST(Service, ShutdownCancelsQueuedJobsWithOutcomes) {
   ServiceOptions options = small_options();
   LayoutService svc(t(), options);
   svc.start();
-  // One slow job occupies the single worker; the rest queue behind it.
+  // One slow job (the VCO optimize flow, about 40 ms on a 4-core host
+  // in Release, against microseconds for the four submissions and the
+  // drain call) occupies the single worker; the rest queue behind it.
   std::atomic<int> done_count{0};
   std::atomic<int> cancelled_count{0};
   std::vector<std::promise<RequestOutcome>> outcomes(4);
   for (int i = 0; i < 4; ++i) {
     ServiceRequest r = vco_request("s" + std::to_string(i), "alice");
-    if (i == 0) r.mode = circuits::FlowMode::kOptimize;  // slow head job
+    if (i == 0) r.mode = circuits::FlowMode::kOptimize;
     ASSERT_EQ(svc.submit(r,
                          [&, i](const RequestOutcome& o) {
                            ++done_count;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <optional>
 
 #include "circuits/common.hpp"
 #include "circuits/vco.hpp"
@@ -14,6 +15,8 @@
 #include "spice/measure.hpp"
 #include "spice/simulator.hpp"
 #include "tech/technology.hpp"
+#include "util/faults.hpp"
+#include "util/obs.hpp"
 
 namespace olp::spice {
 namespace {
@@ -126,7 +129,8 @@ TEST(Tran, NodeInitialConditionOverridesOp) {
   }
 }
 
-TEST(Tran, InverterSwitches) {
+/// CMOS inverter driven by a 0 -> 0.8 V pulse at 0.2 ns, 5 fF load.
+Circuit pulsed_inverter() {
   Circuit c;
   const int nm = c.add_model(circuits::default_nmos());
   const int pm = c.add_model(circuits::default_pmos());
@@ -155,7 +159,13 @@ TEST(Tran, InverterSwitches) {
   mp.w = 1.2e-6;
   c.add_mosfet(mp);
   c.add_capacitor("cl", out, kGround, 5e-15);
+  return c;
+}
 
+TEST(Tran, InverterSwitches) {
+  const Circuit c = pulsed_inverter();
+  const NodeId in = c.find_node("in");
+  const NodeId out = c.find_node("out");
   Simulator sim(c);
   TranOptions tr;
   tr.tstop = 1e-9;
@@ -171,6 +181,133 @@ TEST(Tran, InverterSwitches) {
   ASSERT_TRUE(delay.has_value());
   EXPECT_GT(*delay, 0.0);
   EXPECT_LT(*delay, 100e-12);
+}
+
+/// Every time and sample of `part` is bit-identical to the first ones of
+/// `full`.
+void expect_prefix_of(const TranResult& part, const TranResult& full) {
+  ASSERT_LE(part.samples.size(), full.samples.size());
+  ASSERT_EQ(part.times.size(), part.samples.size());
+  for (std::size_t k = 0; k < part.samples.size(); ++k) {
+    ASSERT_EQ(std::memcmp(&part.times[k], &full.times[k], sizeof(double)), 0)
+        << "sample " << k;
+    ASSERT_EQ(part.samples[k].size(), full.samples[k].size());
+    ASSERT_EQ(std::memcmp(part.samples[k].data(), full.samples[k].data(),
+                          full.samples[k].size() * sizeof(double)),
+              0)
+        << "sample " << k;
+  }
+}
+
+/// The inverter's input-rise to output-fall delay at mid-rail.
+std::optional<double> inverter_delay(const Simulator& sim,
+                                     const TranResult& res) {
+  const Circuit& c = sim.circuit();
+  return delay_between(res.times, tran_waveform(sim, res, c.find_node("in")),
+                       0.4, true, tran_waveform(sim, res, c.find_node("out")),
+                       0.4, false);
+}
+
+TEST(Tran, DelayStopEndsAtTheDecidingSample) {
+  const Circuit c = pulsed_inverter();
+  Simulator sim(c);
+  TranOptions tr;
+  tr.tstop = 1e-9;
+  tr.dt = 1e-12;
+  const TranResult full = sim.tran(tr);
+  tr.stop = delay_decided_stop(sim, c.find_node("in"), 0.4, true,
+                               c.find_node("out"), 0.4, false);
+  obs::Registry::global().enable();
+  const TranResult stopped = sim.tran(tr);
+  obs::Registry::global().disable();
+  const obs::Snapshot snap = obs::Registry::global().snapshot();
+  ASSERT_TRUE(full.ok);
+  ASSERT_TRUE(stopped.ok);
+  // The input rises through 0.4 V at 0.21 ns; the output follows within
+  // 100 ps, well before the 1 ns window ends.
+  EXPECT_LT(stopped.samples.size(), full.samples.size() / 2);
+  expect_prefix_of(stopped, full);
+  const std::optional<double> d_full = inverter_delay(sim, full);
+  const std::optional<double> d_stopped = inverter_delay(sim, stopped);
+  ASSERT_TRUE(d_full && d_stopped);
+  EXPECT_EQ(std::memcmp(&*d_full, &*d_stopped, sizeof(double)), 0);
+  // The previous prefix had no delay yet.
+  TranResult shorter = stopped;
+  shorter.times.pop_back();
+  shorter.samples.pop_back();
+  EXPECT_FALSE(inverter_delay(sim, shorter).has_value());
+  EXPECT_EQ(snap.counter("sim.tran.stopped"), 1);
+  EXPECT_EQ(snap.counter("sim.tran.attempts"), 1);
+  EXPECT_EQ(snap.counter("sim.tran.steps"),
+            static_cast<long>(stopped.samples.size()) - 1);
+}
+
+TEST(Tran, StopThatNeverFiresRunsTheWholeWindow) {
+  const Circuit c = pulsed_inverter();
+  Simulator sim(c);
+  TranOptions tr;
+  tr.tstop = 1e-9;
+  tr.dt = 1e-12;
+  const TranResult full = sim.tran(tr);
+  int calls = 0;
+  tr.stop = [&calls](const TranResult&) {
+    ++calls;
+    return false;
+  };
+  obs::Registry::global().enable();
+  const TranResult never = sim.tran(tr);
+  obs::Registry::global().disable();
+  const obs::Snapshot snap = obs::Registry::global().snapshot();
+  ASSERT_TRUE(never.ok);
+  ASSERT_EQ(never.samples.size(), full.samples.size());
+  expect_prefix_of(never, full);
+  // Checked after every recorded sample but the one at t = 0.
+  EXPECT_EQ(calls, static_cast<int>(full.samples.size()) - 1);
+  EXPECT_EQ(snap.counter("sim.tran.stopped"), 0);
+  EXPECT_EQ(snap.counter("sim.tran.steps"),
+            static_cast<long>(full.samples.size()) - 1);
+}
+
+TEST(Tran, RetryAfterInjectedFailureStopsToo) {
+  // The first attempt fails by injection; the backward-Euler retry at half
+  // the step must stop at its own deciding sample, and match an unstopped
+  // run of the retry's settings up to there.
+  const Circuit c = pulsed_inverter();
+  Simulator sim(c);
+  TranOptions tr;
+  tr.tstop = 1e-9;
+  tr.dt = 1e-12;
+  tr.stop = delay_decided_stop(sim, c.find_node("in"), 0.4, true,
+                               c.find_node("out"), 0.4, false);
+  FaultConfig config;
+  config.tran_rate = 1.0;
+  config.max_total_fires = 1;
+  TranResult retried;
+  obs::Registry::global().enable();
+  {
+    ScopedFaultInjection chaos(config);
+    retried = sim.tran(tr);
+  }
+  obs::Registry::global().disable();
+  const obs::Snapshot snap = obs::Registry::global().snapshot();
+  EXPECT_EQ(FaultInjector::global().fired(FaultSite::kTranNonConvergence), 1);
+  EXPECT_EQ(snap.counter("sim.tran.retries"), 1);
+  EXPECT_EQ(snap.counter("sim.tran.stopped"), 1);
+  ASSERT_TRUE(retried.ok);
+
+  TranOptions be;
+  be.tstop = 1e-9;
+  be.dt = 0.5e-12;
+  be.backward_euler = true;
+  be.max_retries = 0;
+  const TranResult full = sim.tran(be);
+  ASSERT_TRUE(full.ok);
+  EXPECT_LT(retried.samples.size(), full.samples.size() / 2);
+  expect_prefix_of(retried, full);
+  const std::optional<double> d_full = inverter_delay(sim, full);
+  const std::optional<double> d_retried = inverter_delay(sim, retried);
+  ASSERT_TRUE(d_full && d_retried);
+  EXPECT_EQ(std::memcmp(&*d_full, &*d_retried, sizeof(double)), 0);
 }
 
 TEST(Tran, RecordStrideThinsSamples) {
