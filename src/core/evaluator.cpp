@@ -639,7 +639,11 @@ MetricValues PrimitiveEvaluator::eval_starved_inverter(
         spice::tran_waveform(sim, res, b.ext.at("out"));
     const auto delay =
         spice::delay_between(res.times, win, mid, true, wout, mid, false);
-    out[MetricKind::kDelay] = delay.value_or(1e-9);
+    // A failed transient has no delay to report: NaN takes the quarantine
+    // path in evaluate() instead of passing as a plausible 1 ns.
+    out[MetricKind::kDelay] = res.ok
+                                  ? delay.value_or(1e-9)
+                                  : std::numeric_limits<double>::quiet_NaN();
     count_testbench();
   }
   return out;

@@ -67,14 +67,6 @@ bool GlobalRouter::layer_horizontal(int l) const {
   return tech_.metals[static_cast<std::size_t>(l)].horizontal;
 }
 
-int GlobalRouter::layer_index(tech::Layer layer) const {
-  for (int l = 0; l < nl_; ++l) {
-    if (tech::metal_layer(l) == layer) return l;
-  }
-  OLP_CHECK(false, "segment on a non-routing layer");
-  return 0;
-}
-
 void GlobalRouter::set_diagnostics(DiagnosticsSink* sink) {
   diag_ = sink;
   if (fallback_) fallback_->set_diagnostics(sink);
@@ -95,34 +87,15 @@ std::pair<int, int> GlobalRouter::snap(geom::Point p) const {
   return {gx, gy};
 }
 
-GridWindow GlobalRouter::window_for(const std::vector<geom::Point>& pins,
-                                    int margin_cells) const {
-  GridWindow w{nx_ - 1, ny_ - 1, 0, 0};
-  for (const geom::Point& p : pins) {
-    const auto [gx, gy] = snap(p);
-    w.x_lo = std::min(w.x_lo, gx);
-    w.y_lo = std::min(w.y_lo, gy);
-    w.x_hi = std::max(w.x_hi, gx);
-    w.y_hi = std::max(w.y_hi, gy);
-  }
-  w.x_lo = std::max(0, w.x_lo - margin_cells);
-  w.y_lo = std::max(0, w.y_lo - margin_cells);
-  w.x_hi = std::min(nx_ - 1, w.x_hi + margin_cells);
-  w.y_hi = std::min(ny_ - 1, w.y_hi + margin_cells);
-  return w;
-}
-
 NetRoute GlobalRouter::route(const std::string& net_name,
                              const std::vector<geom::Point>& pins,
                              const RouteRequest& request) {
-  if (!request.with_fallback) return route_core(net_name, pins, request);
+  if (!request.with_fallback) return route_classic(net_name, pins);
 
   // Full-service entry: instrumentation envelope + widened-layer retry.
   obs::Span span("router.net", [&] { return net_name; });
   obs::counter_add("router.nets");
-  RouteRequest primary_req = request;
-  primary_req.with_fallback = false;
-  NetRoute primary = route_core(net_name, pins, primary_req);
+  NetRoute primary = route_classic(net_name, pins);
   if (primary.routed) {
     obs::record("router.net_length_um", primary.total_length() * 1e6);
     return primary;
@@ -170,12 +143,7 @@ NetRoute GlobalRouter::route(const std::string& net_name,
   }
   OLP_WARN << "router: net " << net_name
            << " unrouted; retrying with widened layer window";
-  // The retry runs on the fallback grid, so the caller's window and
-  // negotiation arrays (sized for THIS grid) do not transfer.
-  RouteRequest retry = primary_req;
-  retry.window.reset();
-  retry.negotiation = nullptr;
-  NetRoute widened = fallback_->route_core(net_name, pins, retry);
+  NetRoute widened = fallback_->route_classic(net_name, pins);
   if (!widened.routed) {
     obs::counter_add("router.unrouted");
     if (diag_) {
@@ -188,9 +156,8 @@ NetRoute GlobalRouter::route(const std::string& net_name,
   return widened;
 }
 
-NetRoute GlobalRouter::route_core(const std::string& net_name,
-                                  const std::vector<geom::Point>& pins,
-                                  const RouteRequest& request) {
+NetRoute GlobalRouter::route_classic(const std::string& net_name,
+                                     const std::vector<geom::Point>& pins) {
   NetRoute result;
   result.net = net_name;
   OLP_CHECK(pins.size() >= 2, "routing needs at least two pins");
@@ -203,25 +170,7 @@ NetRoute GlobalRouter::route_core(const std::string& net_name,
     result.routed = false;
     return result;
   }
-  const GridWindow win = request.window ? *request.window : full_window();
-  if (request.fast) return route_fast(net_name, pins, win, request);
-  return route_classic(net_name, pins, win);
-}
 
-NetRoute GlobalRouter::route_classic(const std::string& net_name,
-                                     const std::vector<geom::Point>& pins,
-                                     const GridWindow& win) {
-  NetRoute result;
-  result.net = net_name;
-
-  // Snap into the window: with the full window this is the plain grid snap
-  // (the clamps are no-ops), keeping the default path bit-identical.
-  auto snap_in = [&](geom::Point p) {
-    auto [gx, gy] = snap(p);
-    gx = std::clamp(gx, win.x_lo, win.x_hi);
-    gy = std::clamp(gy, win.y_lo, win.y_hi);
-    return std::pair<int, int>{gx, gy};
-  };
   auto unsnap = [&](int gx, int gy) {
     return geom::Point{
         region_.x_lo + geom::to_nm(gx * opt_.gcell_size),
@@ -235,7 +184,7 @@ NetRoute GlobalRouter::route_classic(const std::string& net_name,
   // Seed the tree with the first pin on every allowed layer at its gcell
   // (pins are block ports reachable through a via stack).
   {
-    const auto [gx, gy] = snap_in(pins[0]);
+    const auto [gx, gy] = snap(pins[0]);
     for (int l = opt_.min_layer; l <= opt_.max_layer; ++l) {
       in_tree[static_cast<std::size_t>(index(gx, gy, l))] = 1;
     }
@@ -261,7 +210,7 @@ NetRoute GlobalRouter::route_classic(const std::string& net_name,
       result.routed = false;
       return result;
     }
-    const auto [sx, sy] = snap_in(pins[p]);
+    const auto [sx, sy] = snap(pins[p]);
     // Dijkstra from the pin to any tree node.
     std::vector<double> dist(static_cast<std::size_t>(total_nodes),
                              std::numeric_limits<double>::infinity());
@@ -302,14 +251,14 @@ NetRoute GlobalRouter::route_classic(const std::string& net_name,
       const double layer_bias = 0.02 * l;
       // Wire moves in the preferred direction of the layer.
       if (layer_horizontal(l)) {
-        if (x + 1 <= win.x_hi) {
+        if (x + 1 < nx_) {
           const int over = std::max(
               0, usage_x_[static_cast<std::size_t>(top.node)] + 1 -
                      opt_.edge_capacity);
           relax(index(x + 1, y, l),
                 1.0 + layer_bias + opt_.congestion_cost * over);
         }
-        if (x > win.x_lo) {
+        if (x > 0) {
           const int from = index(x - 1, y, l);
           const int over = std::max(
               0, usage_x_[static_cast<std::size_t>(from)] + 1 -
@@ -317,14 +266,14 @@ NetRoute GlobalRouter::route_classic(const std::string& net_name,
           relax(from, 1.0 + layer_bias + opt_.congestion_cost * over);
         }
       } else {
-        if (y + 1 <= win.y_hi) {
+        if (y + 1 < ny_) {
           const int over = std::max(
               0, usage_y_[static_cast<std::size_t>(top.node)] + 1 -
                      opt_.edge_capacity);
           relax(index(x, y + 1, l),
                 1.0 + layer_bias + opt_.congestion_cost * over);
         }
-        if (y > win.y_lo) {
+        if (y > 0) {
           const int from = index(x, y - 1, l);
           const int over = std::max(
               0, usage_y_[static_cast<std::size_t>(from)] + 1 -
@@ -387,45 +336,6 @@ NetRoute GlobalRouter::route_classic(const std::string& net_name,
   result.vias += static_cast<int>(pins.size());
   result.routed = true;
   return result;
-}
-
-void GlobalRouter::apply_usage(const NetRoute& route, int delta) {
-  for (const RouteSegment& s : route.segments) {
-    const int l = layer_index(s.layer);
-    const auto [x1, y1] = snap(s.a);
-    const auto [x2, y2] = snap(s.b);
-    if (y1 == y2 && x1 != x2) {
-      // Segment endpoints sit on gcell centers (unsnap points), so walking
-      // the gcells between them recovers the exact edges the search marked,
-      // whether the segment is one step (classic) or a whole leg (pattern).
-      for (int x = std::min(x1, x2); x < std::max(x1, x2); ++x) {
-        usage_x_[static_cast<std::size_t>(index(x, y1, l))] += delta;
-      }
-    } else if (x1 == x2 && y1 != y2) {
-      for (int y = std::min(y1, y2); y < std::max(y1, y2); ++y) {
-        usage_y_[static_cast<std::size_t>(index(x1, y, l))] += delta;
-      }
-    }
-  }
-}
-
-void GlobalRouter::rip_up(const NetRoute& route) { apply_usage(route, -1); }
-
-void GlobalRouter::commit(const NetRoute& route) { apply_usage(route, +1); }
-
-void GlobalRouter::accumulate_history(NegotiationCosts& costs,
-                                      long long units) const {
-  OLP_CHECK(costs.history_x.size() == usage_x_.size() &&
-                costs.history_y.size() == usage_y_.size(),
-            "negotiation arrays do not match this router's grid");
-  for (std::size_t i = 0; i < usage_x_.size(); ++i) {
-    const int over = usage_x_[i] - opt_.edge_capacity;
-    if (over > 0) costs.history_x[i] += units * over;
-  }
-  for (std::size_t i = 0; i < usage_y_.size(); ++i) {
-    const int over = usage_y_[i] - opt_.edge_capacity;
-    if (over > 0) costs.history_y[i] += units * over;
-  }
 }
 
 long GlobalRouter::total_overflow() const {

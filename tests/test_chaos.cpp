@@ -243,6 +243,26 @@ TEST(Chaos, CleanRunReportsNothing) {
   EXPECT_TRUE(report.diagnostics.empty());
 }
 
+/// The extracted 8-fin, 4-finger current-starved inverter: the only
+/// primitive whose evaluation runs a transient (its delay bench).
+pcell::PrimitiveLayout starved_inverter_8x4() {
+  const pcell::PrimitiveGenerator gen(t());
+  pcell::LayoutConfig cfg;
+  cfg.nfin = 8;
+  cfg.nf = 4;
+  cfg.m = 1;
+  return gen.generate(pcell::make_current_starved_inverter(), cfg);
+}
+
+core::PrimitiveEvaluator starved_inverter_evaluator() {
+  core::BiasContext bias;
+  bias.vdd = t().vdd;
+  bias.port_voltage = {{"vbn", 0.4}, {"vbp", t().vdd - 0.4}};
+  bias.port_load_cap = {{"out", 4e-15}};
+  return core::PrimitiveEvaluator(t(), circuits::default_nmos(),
+                                  circuits::default_pmos(), bias);
+}
+
 TEST(Chaos, TranFaultSiteFiresInStarvedInverterEvaluation) {
   // The OTA flow has no transient testbench; cover the tran site through the
   // current-starved inverter, whose delay bench is the only tran user. The
@@ -250,19 +270,8 @@ TEST(Chaos, TranFaultSiteFiresInStarvedInverterEvaluation) {
   // its own deciding sample like the first attempt would have, and still
   // produce finite metrics.
   set_log_level(LogLevel::kOff);
-  const pcell::PrimitiveGenerator gen(t());
-  pcell::LayoutConfig cfg;
-  cfg.nfin = 8;
-  cfg.nf = 4;
-  cfg.m = 1;
-  const pcell::PrimitiveLayout lay =
-      gen.generate(pcell::make_current_starved_inverter(), cfg);
-  core::BiasContext bias;
-  bias.vdd = t().vdd;
-  bias.port_voltage = {{"vbn", 0.4}, {"vbp", t().vdd - 0.4}};
-  bias.port_load_cap = {{"out", 4e-15}};
-  core::PrimitiveEvaluator eval(t(), circuits::default_nmos(),
-                                circuits::default_pmos(), bias);
+  const pcell::PrimitiveLayout lay = starved_inverter_8x4();
+  core::PrimitiveEvaluator eval = starved_inverter_evaluator();
   DiagnosticsSink sink;
   eval.set_diagnostics(&sink);
 
@@ -297,6 +306,35 @@ TEST(Chaos, TranFaultSiteFiresInStarvedInverterEvaluation) {
     EXPECT_TRUE(std::isfinite(value)) << core::metric_name(kind);
   }
   EXPECT_GT(values.at(core::MetricKind::kDelay), 0.0);
+}
+
+TEST(Chaos, FailedDelayTransientIsQuarantinedNotDefaulted) {
+  // Every transient attempt fails, retries included: there is no delay to
+  // report, so the evaluation must quarantine the delay metric rather than
+  // pass a plausible default on to the cost.
+  set_log_level(LogLevel::kOff);
+  const pcell::PrimitiveLayout lay = starved_inverter_8x4();
+  core::PrimitiveEvaluator eval = starved_inverter_evaluator();
+  DiagnosticsSink sink;
+  eval.set_diagnostics(&sink);
+
+  FaultConfig config;
+  config.seed = 7;
+  config.tran_rate = 1.0;
+  core::MetricValues values;
+  core::EvalOutcome outcome;
+  {
+    ScopedFaultInjection chaos(config);
+    values = eval.evaluate(lay, core::EvalCondition{}, &outcome);
+  }
+  set_log_level(LogLevel::kWarn);
+  EXPECT_GE(FaultInjector::global().fired(FaultSite::kTranNonConvergence), 3);
+  EXPECT_EQ(outcome.quarantined, 1);
+  EXPECT_EQ(sink.count("evaluator",
+                       core::metric_name(core::MetricKind::kDelay)),
+            1u);
+  // Quarantine zeroes the metric; no finite delay survives the failure.
+  EXPECT_EQ(values.at(core::MetricKind::kDelay), 0.0);
 }
 
 

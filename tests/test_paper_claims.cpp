@@ -6,6 +6,7 @@
 
 #include "circuits/experiments.hpp"
 #include "util/logging.hpp"
+#include "util/obs.hpp"
 
 namespace olp::circuits {
 namespace {
@@ -30,6 +31,36 @@ TEST(VcoExperiment, TableVIIRangeRecovery) {
   EXPECT_EQ(conv.at("vrange_lo"), 0.1);
   EXPECT_EQ(work.at("vrange_lo"), 0.0);
   EXPECT_EQ(sch.at("vrange_lo"), 0.0);
+}
+
+/// Runs the default optimize flow with telemetry on and returns the
+/// routing stage's summed overflow.
+template <typename Circuit>
+long optimize_flow_overflow(Circuit& circuit) {
+  EXPECT_TRUE(circuit.prepare());
+  const FlowEngine engine(t(), {});
+  FlowReport report;
+  {
+    obs::ScopedObservability obs_on;
+    engine.run(FlowMode::kOptimize, circuit.instances(),
+               circuit.routed_nets(), &report);
+  }
+  EXPECT_EQ(report.telemetry.snapshot.counters.count("router.overflow"), 1u);
+  return report.telemetry.snapshot.counter("router.overflow");
+}
+
+TEST(GlobalRouting, PaperFlowsRouteWithoutOverflow) {
+  // Sec. III-B1 uses the global router only to report each net's length,
+  // layer and vias to port optimization. The router has no rip-up and
+  // reroute, so that report is sound only while no gcell edge carries more
+  // tracks than it holds: a flow that congests must fail here.
+  set_log_level(LogLevel::kError);
+  Ota5T ota(t());
+  EXPECT_EQ(optimize_flow_overflow(ota), 0);
+  StrongArmComparator sa(t());
+  EXPECT_EQ(optimize_flow_overflow(sa), 0);
+  RoVco vco(t());
+  EXPECT_EQ(optimize_flow_overflow(vco), 0);
 }
 
 }  // namespace

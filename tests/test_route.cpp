@@ -1,10 +1,8 @@
-// Tests for the g-cell global router and the pluggable routing backends.
+// Tests for the g-cell global router.
 
 #include <gtest/gtest.h>
 
 #include "route/global_router.hpp"
-#include "route/router_engine.hpp"
-#include "util/budget.hpp"
 #include "util/rng.hpp"
 
 namespace olp::route {
@@ -160,9 +158,8 @@ TEST_P(RouterRandom, RandomPinsRoute) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RouterRandom, ::testing::Range(1, 17));
 
 // ---------------------------------------------------------------------------
-// The request API: one entry point whose request selects the search
-// window and the widened-layer fallback, and the shared detour-margin
-// helper.
+// The request API: one entry point whose request selects the widened-layer
+// fallback.
 
 void expect_same_route(const NetRoute& a, const NetRoute& b) {
   ASSERT_EQ(a.routed, b.routed);
@@ -187,324 +184,12 @@ TEST(RouteRequest, WindowAndFallbackRequestsRoute) {
   const NetRoute want = bare.route("n", pins, RouteRequest{});
   ASSERT_TRUE(want.routed);
 
-  // On an empty grid the detour window holds the optimal route, and a
-  // primary attempt that succeeds never engages the fallback: both request
-  // forms reproduce the bare route.
-  GlobalRouter windowed_router(t(), region(10), {});
-  RouteRequest windowed;
-  windowed.window = windowed_router.detour_window(pins);
-  expect_same_route(windowed_router.route("n", pins, windowed), want);
-
+  // A primary attempt that succeeds never engages the fallback: the
+  // full-service request reproduces the bare route.
   GlobalRouter fallback_router(t(), region(10), {});
   RouteRequest with_fallback;
   with_fallback.with_fallback = true;
   expect_same_route(fallback_router.route("n", pins, with_fallback), want);
-
-  // A window that excludes a pin clamps it inside: every segment stays on
-  // the window's gcells (one 200 nm gcell of halo lies below the region
-  // origin, so gcell g sits at -200 + 200 g nm).
-  GlobalRouter tight_router(t(), region(10), {});
-  RouteRequest tight;
-  tight.window = GridWindow{0, 0, 5, 5};
-  const NetRoute clamped = tight_router.route("n", pins, tight);
-  ASSERT_TRUE(clamped.routed);
-  const geom::Coord lo = -200;
-  const geom::Coord hi = -200 + 5 * 200;
-  for (const RouteSegment& seg : clamped.segments) {
-    for (const geom::Point& p : {seg.a, seg.b}) {
-      EXPECT_GE(p.x, lo);
-      EXPECT_LE(p.x, hi);
-      EXPECT_GE(p.y, lo);
-      EXPECT_LE(p.y, hi);
-    }
-  }
-}
-
-TEST(RouteRequest, DetourWindowPinsMarginSixBehavior) {
-  EXPECT_EQ(kDetourMarginCells, 6);
-  GlobalRouter router(t(), region(20), {});
-  // One gcell of halo shifts the origin by one cell: a pin at 2 um on a
-  // 200 nm grid snaps to gcell 11, so the margin-6 window is [5, 17].
-  const std::vector<geom::Point> pins{
-      geom::Point{geom::to_nm(2e-6), geom::to_nm(2e-6)},
-      geom::Point{geom::to_nm(2e-6), geom::to_nm(2e-6)}};
-  const GridWindow w = router.detour_window(pins);
-  EXPECT_EQ(w.x_lo, 5);
-  EXPECT_EQ(w.y_lo, 5);
-  EXPECT_EQ(w.x_hi, 17);
-  EXPECT_EQ(w.y_hi, 17);
-  const GridWindow manual = router.window_for(pins, 6);
-  EXPECT_EQ(w.x_lo, manual.x_lo);
-  EXPECT_EQ(w.y_lo, manual.y_lo);
-  EXPECT_EQ(w.x_hi, manual.x_hi);
-  EXPECT_EQ(w.y_hi, manual.y_hi);
-}
-
-TEST(Router, RipUpRestoresCongestionState) {
-  RouterOptions opt;
-  opt.edge_capacity = 1;
-  GlobalRouter router(t(), region(10), opt);
-  const geom::Point a{0, geom::to_nm(5e-6)};
-  const geom::Point b{geom::to_nm(4e-6), geom::to_nm(5e-6)};
-  const NetRoute first = router.route("n1", {a, b}, {});
-  ASSERT_TRUE(first.routed);
-  const double ratio_after_first = router.congestion_ratio();
-  const long overflow_after_first = router.total_overflow();
-  const NetRoute second = router.route("n2", {a, b}, {});
-  ASSERT_TRUE(second.routed);
-  EXPECT_GE(router.congestion_ratio(), ratio_after_first);
-
-  router.rip_up(second);
-  EXPECT_EQ(router.congestion_ratio(), ratio_after_first);
-  EXPECT_EQ(router.total_overflow(), overflow_after_first);
-  router.commit(second);
-  router.rip_up(second);
-  router.rip_up(first);
-  EXPECT_EQ(router.congestion_ratio(), 0.0);
-  EXPECT_EQ(router.total_overflow(), 0);
-}
-
-// ---------------------------------------------------------------------------
-// The fast core: pattern candidates must match the classic full search
-// exactly on congestion-free two-pin connections (they are accepted only
-// when provably optimal), and the backends must agree on route quality.
-
-TEST(FastCore, PatternsMatchFullSearchOnCleanTwoPinNets) {
-  const std::vector<std::vector<geom::Point>> cases = {
-      // Straight horizontal, straight vertical, two L orientations.
-      {geom::Point{0, 0}, geom::Point{geom::to_nm(5e-6), 0}},
-      {geom::Point{0, 0}, geom::Point{0, geom::to_nm(5e-6)}},
-      {geom::Point{0, 0}, geom::Point{geom::to_nm(4e-6), geom::to_nm(3e-6)}},
-      {geom::Point{geom::to_nm(6e-6), 0},
-       geom::Point{0, geom::to_nm(2e-6)}},
-  };
-  for (const auto& pins : cases) {
-    GlobalRouter classic(t(), region(10), {});
-    GlobalRouter fast(t(), region(10), {});
-    const NetRoute a = classic.route("n", pins, {});
-    RouteRequest request;
-    request.fast = true;
-    const NetRoute b = fast.route("n", pins, request);
-    ASSERT_TRUE(a.routed);
-    ASSERT_TRUE(b.routed);
-    // Pattern candidates are only accepted at the provable lower bound, so
-    // length and via count must match the full search exactly (segment
-    // granularity differs: patterns emit per-leg segments).
-    EXPECT_NEAR(a.total_length(), b.total_length(), 1e-12);
-    EXPECT_EQ(a.vias, b.vias);
-  }
-}
-
-TEST(FastCore, SearchFallbackMatchesClassicOptimum) {
-  // Patterns disabled: the bucket-queue bidirectional/A* search alone must
-  // still find a route of the same cost as the classic heap Dijkstra.
-  for (bool patterns : {true, false}) {
-    GlobalRouter classic(t(), region(10), {});
-    GlobalRouter fast(t(), region(10), {});
-    const std::vector<geom::Point> pins{
-        geom::Point{geom::to_nm(1e-6), geom::to_nm(7e-6)},
-        geom::Point{geom::to_nm(8e-6), geom::to_nm(2e-6)}};
-    const NetRoute a = classic.route("n", pins, {});
-    RouteRequest request;
-    request.fast = true;
-    request.patterns = patterns;
-    const NetRoute b = fast.route("n", pins, request);
-    ASSERT_TRUE(a.routed);
-    ASSERT_TRUE(b.routed);
-    EXPECT_NEAR(a.total_length(), b.total_length(), 1e-12);
-    EXPECT_EQ(a.vias, b.vias);
-  }
-}
-
-TEST(FastCore, MultiPinFastRoutesAreSteinerQuality) {
-  GlobalRouter fast(t(), region(10), {});
-  const geom::Point a{0, 0};
-  const geom::Point b{geom::to_nm(6e-6), 0};
-  const geom::Point c{geom::to_nm(6e-6), geom::to_nm(6e-6)};
-  RouteRequest request;
-  request.fast = true;
-  const NetRoute nr = fast.route("n", {a, b, c}, request);
-  ASSERT_TRUE(nr.routed);
-  // Same Steiner-sharing bound the classic core satisfies.
-  EXPECT_LT(nr.total_length(), 13e-6);
-  EXPECT_GE(nr.total_length(), 11.9e-6);
-}
-
-TEST(FastCore, FastCoreIsDeterministic) {
-  std::vector<NetRoute> runs;
-  for (int run = 0; run < 2; ++run) {
-    GlobalRouter fast(t(), region(15), {});
-    RouteRequest request;
-    request.fast = true;
-    Rng rng(7);
-    NetRoute last;
-    for (int n = 0; n < 6; ++n) {
-      std::vector<geom::Point> pts;
-      for (int p = 0; p < 3; ++p) {
-        pts.push_back(geom::Point{geom::to_nm(rng.uniform(0, 15e-6)),
-                                  geom::to_nm(rng.uniform(0, 15e-6))});
-      }
-      last = fast.route("n" + std::to_string(n), pts, request);
-      EXPECT_TRUE(last.routed);
-    }
-    runs.push_back(last);
-  }
-  expect_same_route(runs[0], runs[1]);
-}
-
-// ---------------------------------------------------------------------------
-// Router engines: the backend registry and the negotiated mode's global
-// congestion resolution.
-
-TEST(RouterEngineApi, BackendNamesRoundTrip) {
-  for (RouterBackend b :
-       {RouterBackend::kClassic, RouterBackend::kFast,
-        RouterBackend::kNegotiated}) {
-    const auto parsed = parse_router_backend(router_backend_name(b));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, b);
-    auto engine = make_router_engine(
-        *std::make_unique<GlobalRouter>(t(), region(5), RouterOptions{}),
-        RouterEngineOptions{b});
-  }
-  EXPECT_FALSE(parse_router_backend("bogus").has_value());
-  EXPECT_FALSE(parse_router_backend("").has_value());
-}
-
-std::vector<NetPins> three_nets() {
-  std::vector<NetPins> nets;
-  for (int n = 0; n < 3; ++n) {
-    const geom::Coord y = geom::to_nm(2e-6 + 2e-6 * n);
-    nets.push_back(NetPins{
-        "net" + std::to_string(n),
-        {geom::Point{geom::to_nm(1e-6), y},
-         geom::Point{geom::to_nm(8e-6), y}}});
-  }
-  return nets;
-}
-
-TEST(RouterEngineApi, ClassicEngineMatchesHistoricSerialLoop) {
-  const std::vector<NetPins> nets = three_nets();
-  GlobalRouter engine_router(t(), region(10), {});
-  RouterEngineOptions eopt;
-  eopt.backend = RouterBackend::kClassic;
-  const auto engine = make_router_engine(engine_router, eopt);
-  const std::vector<NetRoute> via_engine = engine->route_nets(nets);
-
-  GlobalRouter loop_router(t(), region(10), {});
-  std::vector<NetRoute> via_loop;
-  for (const NetPins& net : nets) {
-    RouteRequest request;
-    request.with_fallback = true;
-    via_loop.push_back(loop_router.route(net.name, net.pins, request));
-  }
-  ASSERT_EQ(via_engine.size(), via_loop.size());
-  for (std::size_t i = 0; i < via_engine.size(); ++i) {
-    expect_same_route(via_engine[i], via_loop[i]);
-  }
-}
-
-/// A congested workload greedy net-order routing CANNOT resolve: three
-/// identical short nets on one row with edge_capacity 1, cheap congestion
-/// (1.0) and expensive vias (6.0). For the second net, sharing the 10
-/// overflowing edges costs ~10 units while detouring one row costs ~26
-/// (4 vias + 2 extra steps), so the greedy router overflows; a legal
-/// zero-overflow solution plainly exists (spread over three rows).
-RouterOptions congested_options() {
-  RouterOptions opt;
-  opt.edge_capacity = 1;
-  opt.congestion_cost = 1.0;
-  opt.via_cost = 6.0;
-  opt.min_layer = 2;
-  opt.max_layer = 3;
-  return opt;
-}
-
-std::vector<NetPins> congested_nets() {
-  std::vector<NetPins> nets;
-  const geom::Coord y = geom::to_nm(5e-6);
-  for (int n = 0; n < 3; ++n) {
-    nets.push_back(NetPins{
-        "net" + std::to_string(n),
-        {geom::Point{geom::to_nm(2e-6), y},
-         geom::Point{geom::to_nm(4e-6), y}}});
-  }
-  return nets;
-}
-
-TEST(NegotiatedRouter, EliminatesOverflowGreedyCannot) {
-  const std::vector<NetPins> nets = congested_nets();
-
-  GlobalRouter greedy(t(), region(10), congested_options());
-  const auto classic =
-      make_router_engine(greedy, RouterEngineOptions{RouterBackend::kClassic});
-  const std::vector<NetRoute> greedy_routes = classic->route_nets(nets);
-  for (const NetRoute& r : greedy_routes) ASSERT_TRUE(r.routed);
-  ASSERT_GT(greedy.total_overflow(), 0)
-      << "fixture must actually congest the greedy router";
-
-  GlobalRouter negotiated_router(t(), region(10), congested_options());
-  RouterEngineOptions eopt;
-  eopt.backend = RouterBackend::kNegotiated;
-  const auto negotiated = make_router_engine(negotiated_router, eopt);
-  const std::vector<NetRoute> routes = negotiated->route_nets(nets);
-  for (const NetRoute& r : routes) ASSERT_TRUE(r.routed);
-  EXPECT_EQ(negotiated_router.total_overflow(), 0)
-      << "negotiation must converge to a legal solution";
-}
-
-TEST(NegotiatedRouter, ZeroIterationsKeepsGreedySolution) {
-  const std::vector<NetPins> nets = congested_nets();
-  GlobalRouter router(t(), region(10), congested_options());
-  RouterEngineOptions eopt;
-  eopt.backend = RouterBackend::kNegotiated;
-  eopt.negotiation_iterations = 0;
-  const auto engine = make_router_engine(router, eopt);
-  const std::vector<NetRoute> routes = engine->route_nets(nets);
-  for (const NetRoute& r : routes) EXPECT_TRUE(r.routed);
-  EXPECT_GT(router.total_overflow(), 0);
-}
-
-TEST(NegotiatedRouter, BudgetTripSalvagesBestSoFar) {
-  const std::vector<NetPins> nets = congested_nets();
-  GlobalRouter router(t(), region(10), congested_options());
-  // Enough fuel for the initial pass, not enough to negotiate to zero:
-  // the engine must still return a complete routed solution (the
-  // best-so-far snapshot), never a torn half-ripped-up state.
-  BudgetOptions bopt;
-  bopt.max_checks = 12;
-  Budget budget(bopt);
-  router.set_budget(&budget);
-  RouterEngineOptions eopt;
-  eopt.backend = RouterBackend::kNegotiated;
-  const auto engine = make_router_engine(router, eopt);
-  const std::vector<NetRoute> routes = engine->route_nets(nets);
-  int routed = 0;
-  for (const NetRoute& r : routes) routed += r.routed ? 1 : 0;
-  EXPECT_GT(routed, 0);
-  // The congestion grid must describe exactly the returned routes: ripping
-  // every returned route up must empty it.
-  for (const NetRoute& r : routes) {
-    if (r.routed) router.rip_up(r);
-  }
-  EXPECT_EQ(router.total_overflow(), 0);
-  EXPECT_EQ(router.congestion_ratio(), 0.0);
-}
-
-TEST(NegotiatedRouter, DeterministicAcrossRuns) {
-  const std::vector<NetPins> nets = congested_nets();
-  std::vector<std::vector<NetRoute>> runs;
-  for (int run = 0; run < 2; ++run) {
-    GlobalRouter router(t(), region(10), congested_options());
-    RouterEngineOptions eopt;
-    eopt.backend = RouterBackend::kNegotiated;
-    const auto engine = make_router_engine(router, eopt);
-    runs.push_back(engine->route_nets(nets));
-  }
-  ASSERT_EQ(runs[0].size(), runs[1].size());
-  for (std::size_t i = 0; i < runs[0].size(); ++i) {
-    expect_same_route(runs[0][i], runs[1][i]);
-  }
 }
 
 }  // namespace
