@@ -48,7 +48,11 @@
 // verb dumps it), and OLP_METRICS_PATH appends a metrics JSONL line every
 // OLP_METRICS_EVERY completed jobs and at drain.
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cerrno>
 #include <csignal>
 #include <cstddef>
 #include <cstdio>
@@ -63,9 +67,25 @@ namespace {
 
 std::atomic<bool> g_drain_requested{false};
 std::atomic<bool> g_reload_requested{false};
+/// Write end of the self-pipe that wakes the stdin read (FdInputBuf).
+int g_wake_w = -1;
 
-void on_terminate(int) { g_drain_requested.store(true); }
-void on_reload(int) { g_reload_requested.store(true); }
+void wake_intake() {
+  const int saved = errno;
+  if (g_wake_w >= 0) {
+    const char byte = 1;
+    (void)::write(g_wake_w, &byte, 1);
+  }
+  errno = saved;
+}
+void on_terminate(int) {
+  g_drain_requested.store(true);
+  wake_intake();
+}
+void on_reload(int) {
+  g_reload_requested.store(true);
+  wake_intake();
+}
 
 /// Reads a KEY=VALUE config file (OLP_* names, '#' comments) into numeric
 /// overrides. Unknown keys are ignored; malformed lines are skipped — a bad
@@ -136,11 +156,18 @@ void apply_reload(olp::service::LayoutService* service,
 }  // namespace
 
 int main() {
-  // Interrupting reads matters: SIGTERM must break std::getline on stdin so
-  // the main loop can drain, and SIGHUP must break it so the reload hook
-  // runs. sigaction WITHOUT SA_RESTART does exactly that (plain std::signal
-  // may set SA_RESTART on some platforms).
-#if defined(__unix__) || defined(__APPLE__)
+  // SIGTERM must end the stdin read so the main loop can drain, and SIGHUP
+  // must end it so the reload hook runs, whenever they land: before the
+  // read blocks as well as during it. The handlers write to a self-pipe
+  // that the stdin buffer polls next to stdin.
+  int wake[2] = {-1, -1};
+  if (::pipe(wake) != 0) {
+    std::cerr << "{\"event\":\"pipe_error\"}\n";
+    return 1;
+  }
+  // A full pipe already wakes the reader; the handler must never block.
+  ::fcntl(wake[1], F_SETFL, ::fcntl(wake[1], F_GETFL) | O_NONBLOCK);
+  g_wake_w = wake[1];
   struct sigaction sa = {};
   sa.sa_handler = on_terminate;
   ::sigaction(SIGTERM, &sa, nullptr);
@@ -150,10 +177,6 @@ int main() {
   ::sigaction(SIGHUP, &hup, nullptr);
   // A client vanishing mid-write must be an EPIPE errno, not process death.
   std::signal(SIGPIPE, SIG_IGN);
-#else
-  std::signal(SIGTERM, on_terminate);
-  std::signal(SIGINT, on_terminate);
-#endif
 
   const olp::tech::Technology technology = olp::tech::make_default_finfet_tech();
   olp::service::ServiceOptions options;
@@ -211,15 +234,13 @@ int main() {
   }
 
   // serve() returns on stdin EOF, a drain/shutdown verb (here or over a
-  // socket), or SIGTERM/SIGINT interrupting the read — and has drained the
+  // socket), or SIGTERM/SIGINT waking the read — and has drained the
   // service by then. SIGHUP lands in the hook: reload, keep serving.
-  service.serve(std::cin, std::cout, [&] {
+  olp::service::FdInputBuf stdin_buf(STDIN_FILENO, wake[0]);
+  std::istream in(&stdin_buf);
+  service.serve(in, std::cout, [&] {
     if (g_reload_requested.exchange(false)) {
       apply_reload(&service, &transport, transport_options);
-      // The interrupted read left error state on the C stdin stream too
-      // (std::cin is stdio-synced); clear it or the next getline would
-      // report a spurious EOF and drain the daemon after one reload.
-      std::clearerr(stdin);
       return !g_drain_requested.load();
     }
     return false;  // SIGTERM/SIGINT/EOF: fall through to the drain path

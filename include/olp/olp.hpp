@@ -16,6 +16,7 @@
 //                         unix/TCP stream transport with slow-loris and
 //                         oversized-frame shedding
 //   service/journal.hpp   RequestJournal: crash-safe accepted-work ledger
+//   service/fd_input.hpp  FdInputBuf: a stdin buffer a signal can wake
 //   core/optimizer.hpp    Algorithm 1 (PrimitiveOptimizer) and its
 //                         evaluator, for primitive-level use
 //   core/eval_cache.hpp   cross-run evaluation memoization
@@ -39,6 +40,7 @@
 #include "core/optimizer.hpp"
 #include "pcell/generator.hpp"
 #include "pcell/primitive.hpp"
+#include "service/fd_input.hpp"
 #include "service/journal.hpp"
 #include "service/request.hpp"
 #include "service/service.hpp"

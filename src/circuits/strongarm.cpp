@@ -1,6 +1,7 @@
 #include "circuits/strongarm.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "spice/measure.hpp"
 #include "spice/simulator.hpp"
@@ -165,6 +166,8 @@ double StrongArmComparator::measure_offset(const Realization& realization,
   // Copy so the probe can vary the input differential without mutating this
   // comparator's configuration.
   StrongArmComparator probe = *this;
+  // The decision at input differential d: +1 or -1, or 0 when its
+  // transient fails.
   auto decision = [&](double d) {
     probe.vin_diff_ = d;
     spice::Circuit ckt = probe.build(realization);
@@ -172,26 +175,27 @@ double StrongArmComparator::measure_offset(const Realization& realization,
     spice::TranOptions tr;
     tr.tstop = 2.0 * clock_period_;
     tr.dt = 2e-12;
+    const spice::NodeId outp = ckt.find_node("outp");
+    const spice::NodeId outn = ckt.find_node("outn");
+    tr.probes = {outp, outn};
     const spice::TranResult res = sim.tran(tr);
     if (!res.ok) return 0;
-    const double outp =
-        sim.voltage(res.samples.back(), ckt.find_node("outp"));
-    const double outn =
-        sim.voltage(res.samples.back(), ckt.find_node("outn"));
-    return (outn - outp) > 0 ? 1 : -1;
+    return (res.trace(outn).back() - res.trace(outp).back()) > 0 ? 1 : -1;
   };
+  const double kFailed = std::numeric_limits<double>::quiet_NaN();
 
   double lo = -search_range;
   double hi = search_range;
   const int d_lo = decision(lo);
   const int d_hi = decision(hi);
-  if (d_lo == d_hi || d_lo == 0 || d_hi == 0) {
-    // No flip within the window: offset beyond the range (or failure).
-    return search_range;
-  }
+  if (d_lo == 0 || d_hi == 0) return kFailed;
+  // No flip within the window: the offset is beyond the range.
+  if (d_lo == d_hi) return search_range;
   for (int it = 0; it < 10; ++it) {
     const double mid = 0.5 * (lo + hi);
-    if (decision(mid) == d_hi) {
+    const int d = decision(mid);
+    if (d == 0) return kFailed;
+    if (d == d_hi) {
       hi = mid;
     } else {
       lo = mid;

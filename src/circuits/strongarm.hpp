@@ -31,6 +31,8 @@ class StrongArmComparator {
   /// flips, found by bisection over transient evaluations. The paper notes
   /// the offset "is similar in all cases, because it is a function of
   /// matching nets" — this measurement backs that claim for our layouts.
+  /// Returns `search_range` when the decision does not flip within it, and
+  /// NaN when any decision transient fails.
   double measure_offset(const Realization& realization,
                         double search_range = 20e-3) const;
 

@@ -1,13 +1,233 @@
 #include "circuits/vco.hpp"
 
+#include <atomic>
 #include <cmath>
+#include <condition_variable>
+#include <exception>
+#include <iterator>
+#include <mutex>
+#include <system_error>
+#include <thread>
 
 #include "spice/measure.hpp"
 #include "spice/simulator.hpp"
 #include "util/error.hpp"
+#include "util/faults.hpp"
 #include "util/logging.hpp"
+#include "util/obs.hpp"
 
 namespace olp::circuits {
+
+namespace {
+
+/// The ladder's windows, shortest first: a short fast window, then wider
+/// ones for a ring too slow to show enough full-swing crossings in it (the
+/// paper's "voltage range" row is about whether the ring oscillates at all).
+struct Window {
+  double tstop, dt;
+};
+constexpr Window kWindows[] = {{2.5e-9, 1e-12}, {20e-9, 8e-12},
+                               {160e-9, 64e-12}};
+
+/// Runs a ladder of windows and returns the result of the lowest one that
+/// passes, exactly as running them one after another would. The caller's
+/// thread runs the lowest window nobody runs yet; when the trigger says a
+/// running window probably fails, the next window starts at once, on a
+/// second thread if the caller's is busy. At most two windows are in
+/// flight: the lowest undecided one and the one above it. A window stops
+/// early (through its TranOptions::stop) only once a window below it has
+/// passed or thrown, which decides the ladder without it. An exception is
+/// rethrown only if every window below the one that threw failed.
+class WindowLadder {
+ public:
+  /// Runs window k with `stop` as its transient's stop condition; returns
+  /// its frequency when it passes.
+  using Run = std::function<std::optional<double>(int k, spice::TranStop stop)>;
+  /// Whether window k probably fails, from what it has recorded so far.
+  using Trigger = std::function<bool(int k, const spice::TranResult& so_far)>;
+
+  WindowLadder(int count, Run run, Trigger trigger)
+      : run_(std::move(run)),
+        trigger_(std::move(trigger)),
+        state_(static_cast<std::size_t>(count), State::kIdle),
+        freq_(static_cast<std::size_t>(count)),
+        error_(static_cast<std::size_t>(count)),
+        triggered_(static_cast<std::size_t>(count), false),
+        asked_(static_cast<std::size_t>(count), 0),
+        cancel_from_(count),
+        context_(obs::capture_thread_context()) {}
+
+  ~WindowLadder() {
+    if (helper_.joinable()) helper_.join();
+  }
+
+  WindowLadder(const WindowLadder&) = delete;
+  WindowLadder& operator=(const WindowLadder&) = delete;
+
+  std::optional<double> result() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (int lowest = undecided(); !decided(lowest); lowest = undecided()) {
+      const int k = pick(lowest);
+      if (k >= 0) {
+        run_window(k, lock);
+      } else {
+        cv_.wait(lock);
+      }
+    }
+    // A window still running is above the deciding one, which cancelled it
+    // when it passed or threw; wait for it to stop.
+    const int lowest = undecided();
+    cv_.wait(lock, [&] { return !helper_busy_; });
+    lock.unlock();
+    if (helper_.joinable()) helper_.join();
+    if (lowest == count()) return std::nullopt;
+    if (error_[static_cast<std::size_t>(lowest)]) {
+      std::rethrow_exception(error_[static_cast<std::size_t>(lowest)]);
+    }
+    return freq_[static_cast<std::size_t>(lowest)];
+  }
+
+ private:
+  enum class State { kIdle, kRunning, kFailed, kPassed, kThrew, kCancelled };
+
+  int count() const { return static_cast<int>(state_.size()); }
+  State state(int k) const { return state_[static_cast<std::size_t>(k)]; }
+
+  /// The lowest window that has not failed: every window below it failed.
+  int undecided() const {
+    int k = 0;
+    while (k < count() && state(k) == State::kFailed) ++k;
+    return k;
+  }
+  /// Whether the ladder's result is known, given undecided().
+  bool decided(int lowest) const {
+    return lowest == count() || state(lowest) == State::kPassed ||
+           state(lowest) == State::kThrew;
+  }
+  /// The window to start now, or -1: the lowest undecided window if it is
+  /// idle, else the one above it if the lowest has triggered.
+  int pick(int lowest) const {
+    if (decided(lowest)) return -1;
+    if (state(lowest) == State::kIdle) return lowest;
+    const int next = lowest + 1;
+    if (next < count() && triggered_[static_cast<std::size_t>(lowest)] &&
+        state(next) == State::kIdle) {
+      return next;
+    }
+    return -1;
+  }
+
+  /// Makes every window above `k` stop at its next sample.
+  void cancel_above(int k) {
+    if (k + 1 < cancel_from_.load()) {
+      cancel_from_.store(k + 1);
+    }
+  }
+
+  /// Runs window k with the lock released; records how it ended.
+  void run_window(int k, std::unique_lock<std::mutex>& lock) {
+    if (k > undecided()) obs::counter_add("vco.window.speculated");
+    state_[static_cast<std::size_t>(k)] = State::kRunning;
+    lock.unlock();
+    std::optional<double> freq;
+    std::exception_ptr error;
+    try {
+      freq = run_(k, [this, k](const spice::TranResult& so_far) {
+        if (k >= cancel_from_.load()) return true;
+        const std::size_t i = static_cast<std::size_t>(k);
+        if (trigger_ && !asked_[i] && trigger_(k, so_far)) {
+          asked_[i] = 1;
+          on_trigger(k);
+        }
+        return false;
+      });
+    } catch (...) {
+      error = std::current_exception();
+    }
+    lock.lock();
+    State& st = state_[static_cast<std::size_t>(k)];
+    if (k >= cancel_from_.load()) {
+      st = State::kCancelled;
+      obs::counter_add("vco.window.cancelled");
+    } else if (error) {
+      st = State::kThrew;
+      error_[static_cast<std::size_t>(k)] = error;
+      cancel_above(k);
+    } else if (freq) {
+      st = State::kPassed;
+      freq_[static_cast<std::size_t>(k)] = freq;
+      cancel_above(k);
+    } else {
+      st = State::kFailed;
+    }
+    cv_.notify_all();
+  }
+
+  /// Window k probably fails: start the window above it, on the helper
+  /// thread when that is free, else on whichever thread frees up first.
+  void on_trigger(int k) {
+    std::lock_guard<std::mutex> lock(mu_);
+    triggered_[static_cast<std::size_t>(k)] = true;
+    cv_.notify_all();
+    if (helper_busy_ || pick(undecided()) < 0) return;
+    if (helper_.joinable()) helper_.join();
+    try {
+      helper_ = std::thread([this] { helper_loop(); });
+      helper_busy_ = true;
+    } catch (const std::system_error&) {
+      // No thread to spare: the ladder goes on serially.
+    }
+  }
+
+  void helper_loop() {
+    try {
+      obs::ThreadContextScope scope(context_);
+      std::unique_lock<std::mutex> lock(mu_);
+      for (int k = pick(undecided()); k >= 0; k = pick(undecided())) {
+        run_window(k, lock);
+      }
+    } catch (...) {
+      // A window's own errors are caught in run_window(); what is left is
+      // running out of memory for the bookkeeping around it. The caller's
+      // thread runs whatever the helper has not started.
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    helper_busy_ = false;
+    cv_.notify_all();
+  }
+
+  const Run run_;
+  const Trigger trigger_;
+  std::mutex mu_;  ///< guards everything below but asked_ and cancel_from_
+  std::condition_variable cv_;
+  std::vector<State> state_;
+  std::vector<std::optional<double>> freq_;
+  std::vector<std::exception_ptr> error_;
+  std::vector<bool> triggered_;
+  /// Whether window k's trigger has fired; touched only by its own thread.
+  std::vector<char> asked_;
+  /// Windows from this index up stop at their next sample.
+  std::atomic<int> cancel_from_;
+  const obs::ThreadContext context_;
+  std::thread helper_;
+  bool helper_busy_ = false;
+};
+
+/// frequency()'s speculation rule: window `tstop` probably fails.
+bool probably_fails(double tstop, const std::vector<double>& times,
+                    const std::vector<double>& op0, double level) {
+  // A passing window holds five rising crossings, so its period is under a
+  // quarter of the window and the ring, kicked at t = 0, first rises
+  // within about 0.6 periods. No rising crossing in the first eighth means
+  // the period is about as long as the window or the ring has not started.
+  // Decided once, at the first sample past the eighth.
+  const std::size_t m = times.size();
+  const double eighth = 0.125 * tstop;
+  if (m < 2 || times[m - 2] >= eighth || times[m - 1] < eighth) return false;
+  return spice::crossing_times(times, op0, level, true).empty();
+}
+
+}  // namespace
 
 RoVco::RoVco(const tech::Technology& technology, int stages)
     : tech_(technology), stages_(stages) {
@@ -157,41 +377,63 @@ spice::Circuit RoVco::build(const Realization& realization,
 
 std::optional<double> RoVco::frequency(const Realization& realization,
                                        double vctrl) const {
-  spice::Circuit ckt = build(realization, vctrl);
-  spice::Simulator sim(ckt);
+  if (FaultInjector::global().enabled()) {
+    // Injected faults are drawn in call order; a second thread would make
+    // that order follow thread interleaving.
+    return frequency(realization, vctrl, Speculation{});
+  }
+  const double level = 0.5 * tech_.vdd;
+  return frequency(realization, vctrl,
+                   [level](double tstop, const std::vector<double>& times,
+                           const std::vector<double>& op0) {
+                     return probably_fails(tstop, times, op0, level);
+                   });
+}
 
-  // Adaptive window: try a short fast window first; if the ring has not
-  // produced enough full-swing crossings, widen the window (the paper's
-  // "voltage range" row is about whether the ring oscillates at all).
-  struct Window {
-    double tstop, dt;
-  };
-  const Window windows[] = {{2.5e-9, 1e-12}, {20e-9, 8e-12}, {160e-9, 64e-12}};
-  for (const Window& win : windows) {
+std::optional<double> RoVco::frequency(const Realization& realization,
+                                       double vctrl,
+                                       const Speculation& speculate) const {
+  const spice::Circuit ckt = build(realization, vctrl);
+  const spice::Simulator sim(ckt);
+  const spice::NodeId op0 = ckt.find_node("op0");
+  const double vdd = tech_.vdd;
+
+  // Window k of the ladder: the ring's frequency if the window shows
+  // sustained, adequately sampled oscillation, else nullopt.
+  auto run = [&](int k, spice::TranStop stop) -> std::optional<double> {
+    const Window& win = kWindows[static_cast<std::size_t>(k)];
     spice::TranOptions tr;
     tr.tstop = win.tstop;
     tr.dt = win.dt;
     tr.record_stride = 1;
+    tr.probes = {op0};
+    tr.stop = std::move(stop);
     const spice::TranResult res = sim.tran(tr);
-    if (!res.ok) continue;
+    if (!res.ok) return std::nullopt;
 
-    const std::vector<double> w =
-        spice::tran_waveform(sim, res, ckt.find_node("op0"));
-    const auto freq =
-        spice::oscillation_frequency(res.times, w, 0.5 * tech_.vdd, 4);
-    if (!freq) continue;
+    const std::vector<double>& w = res.trace(op0);
+    const auto freq = spice::oscillation_frequency(res.times, w, 0.5 * vdd, 4);
+    if (!freq) return std::nullopt;
     // Require sustained full-swing amplitude late in the window.
     double lo = 1e9, hi = -1e9;
     for (std::size_t i = w.size() / 2; i < w.size(); ++i) {
       lo = std::min(lo, w[i]);
       hi = std::max(hi, w[i]);
     }
-    if (hi - lo < 0.5 * tech_.vdd) continue;
+    if (hi - lo < 0.5 * vdd) return std::nullopt;
     // Demand adequate sampling of the period before trusting the number.
-    if (1.0 / (*freq) < 8.0 * win.dt) continue;
+    if (1.0 / (*freq) < 8.0 * win.dt) return std::nullopt;
     return freq;
+  };
+  WindowLadder::Trigger trigger;
+  if (speculate) {
+    trigger = [&speculate](int k, const spice::TranResult& so_far) {
+      return speculate(kWindows[static_cast<std::size_t>(k)].tstop,
+                       so_far.times, so_far.traces.front());
+    };
   }
-  return std::nullopt;
+  return WindowLadder(static_cast<int>(std::size(kWindows)), run, trigger)
+      .result();
 }
 
 std::vector<double> RoVco::default_sweep() {

@@ -13,6 +13,7 @@
 // usage ("the primitive (current starved inverter) and its ports are
 // optimized for delay and current").
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -33,11 +34,28 @@ class RoVco {
   const std::vector<InstanceSpec>& instances() const { return instances_; }
   std::vector<InstanceSpec>& instances() { return instances_; }
 
+  /// Whether frequency() starts the next window of its ladder early, on a
+  /// second thread: called after each sample a window records, with the
+  /// window's length and the times and voltages of op0 (the node the ladder
+  /// reads) recorded so far. It schedules only; the result never depends
+  /// on it.
+  using Speculation =
+      std::function<bool(double tstop, const std::vector<double>& times,
+                         const std::vector<double>& op0)>;
+
   /// Oscillation frequency at a control voltage; nullopt when the ring does
   /// not oscillate within the simulation window (the basis of the paper's
-  /// "voltage range" row).
+  /// "voltage range" row). The ring is simulated over a ladder of ever
+  /// longer windows, and the result is that of the lowest window that
+  /// passes. A window that probably fails starts the next one early on a
+  /// second thread (see DESIGN.md 6k); under chaos fault injection the
+  /// ladder runs serially so that fault draws keep their order.
   std::optional<double> frequency(const Realization& realization,
                                   double vctrl) const;
+  /// frequency() with an explicit speculation rule; an empty rule runs the
+  /// ladder serially. The result is the same for every rule.
+  std::optional<double> frequency(const Realization& realization, double vctrl,
+                                  const Speculation& speculate) const;
 
   /// Table VII metrics over a control sweep: "fmax_ghz", "fmin_ghz",
   /// "vrange_lo", "vrange_hi" (the lowest/highest control voltage at which

@@ -965,13 +965,12 @@ void LayoutService::serve(std::istream& in, std::ostream& out,
   bool stop = false;
   while (!stop) {
     if (!std::getline(in, line)) {
-      // A signal without SA_RESTART (SIGHUP reload) interrupts the read;
-      // the hook decides whether to absorb it and keep serving. Do NOT
-      // gate on eof(): with stdio-synced streams an EINTR'd read is
-      // indistinguishable from end-of-file at this layer (both set
-      // eofbit), so the hook — which knows whether a signal actually
-      // arrived — is the only reliable discriminator. On true EOF it
-      // returns false and the loop falls through to the drain.
+      // A signal (SIGHUP reload) ends the read; the hook decides whether
+      // to absorb it and keep serving. Do NOT gate on eof(): a read ended
+      // by a signal is indistinguishable from end-of-file at this layer
+      // (both set eofbit), so the hook — which knows whether a signal
+      // actually arrived — is the only reliable discriminator. On true EOF
+      // it returns false and the loop falls through to the drain.
       if (on_interrupt && on_interrupt()) {
         in.clear();
         continue;

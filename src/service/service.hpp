@@ -263,7 +263,7 @@ class LayoutService {
   /// single JSON lines on `out` (interleaved "done" events carry the
   /// request id). Returns after EOF or a drain/shutdown verb, having
   /// drained the service. When `on_interrupt` is set, a failed read (e.g. a
-  /// signal without SA_RESTART interrupting getline) calls it: true means
+  /// signal waking an FdInputBuf, see fd_input.hpp) calls it: true means
   /// "handled, keep serving" (the stream is cleared — SIGHUP reload), false
   /// falls through to the EOF drain. See request.hpp for the wire protocol.
   void serve(std::istream& in, std::ostream& out,

@@ -12,20 +12,18 @@ std::string tran_to_csv(const Simulator& sim, const TranResult& result,
                         const std::vector<std::string>& nodes) {
   OLP_CHECK(!nodes.empty(), "CSV export needs at least one node");
   const Circuit& ckt = sim.circuit();
-  std::vector<NodeId> ids;
+  std::vector<std::vector<double>> waves;
   std::ostringstream os;
   os.precision(9);
   os << "time";
   for (const std::string& n : nodes) {
-    ids.push_back(ckt.find_node(n));
+    waves.push_back(tran_waveform(sim, result, ckt.find_node(n)));
     os << ',' << n;
   }
   os << '\n';
   for (std::size_t k = 0; k < result.times.size(); ++k) {
     os << result.times[k];
-    for (NodeId id : ids) {
-      os << ',' << sim.voltage(result.samples[k], id);
-    }
+    for (const std::vector<double>& w : waves) os << ',' << w[k];
     os << '\n';
   }
   return os.str();

@@ -126,6 +126,10 @@ std::optional<double> phase_margin_deg(const std::vector<double>& freqs,
 
 std::vector<double> tran_waveform(const Simulator& sim, const TranResult& tr,
                                   NodeId node) {
+  if (tr.probed()) {
+    if (node == kGround) return std::vector<double>(tr.times.size(), 0.0);
+    return tr.trace(node);
+  }
   std::vector<double> wave;
   wave.reserve(tr.samples.size());
   for (const auto& x : tr.samples) wave.push_back(sim.voltage(x, node));
@@ -135,6 +139,8 @@ std::vector<double> tran_waveform(const Simulator& sim, const TranResult& tr,
 std::vector<double> tran_source_current(const Simulator& sim,
                                         const TranResult& tr,
                                         const std::string& vsource) {
+  OLP_CHECK(!tr.probed(),
+            "branch currents need a full transient recording, not probes");
   std::vector<double> wave;
   wave.reserve(tr.samples.size());
   for (const auto& x : tr.samples) {
@@ -178,11 +184,15 @@ std::function<bool(const TranResult&)> delay_decided_stop(
     NodeId sig, double sig_level, bool sig_rising, int ref_skip) {
   return [&sim, ref, ref_level, ref_rising, sig, sig_level, sig_rising,
           ref_skip](const TranResult& so_far) {
-    const std::vector<std::vector<double>>& s = so_far.samples;
-    const std::size_t m = s.size();
+    const std::size_t m = so_far.times.size();
     if (m < 2) return false;
     // A prefix without a value gains one only through a new crossing.
     auto newest_crosses = [&](NodeId node, double level, bool rising) {
+      if (so_far.probed()) {
+        const std::vector<double>& w = so_far.trace(node);
+        return crosses(w[m - 2], w[m - 1], level, rising);
+      }
+      const std::vector<std::vector<double>>& s = so_far.samples;
       return crosses(sim.voltage(s[m - 2], node), sim.voltage(s[m - 1], node),
                      level, rising);
     };

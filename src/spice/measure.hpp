@@ -47,10 +47,12 @@ std::optional<double> phase_margin_deg(const std::vector<double>& freqs,
                                        const std::vector<double>& mags,
                                        const std::vector<double>& phases_deg);
 
-/// Time-domain waveform of one node extracted from a transient result.
+/// Time-domain waveform of one node extracted from a transient result, full
+/// or probed (a probed result must hold `node` unless it is ground).
 std::vector<double> tran_waveform(const Simulator& sim, const TranResult& tr,
                                   NodeId node);
-/// Branch current waveform of a voltage source.
+/// Branch current waveform of a voltage source. Needs a full recording: a
+/// probed result holds no branch currents (InvalidArgumentError).
 std::vector<double> tran_source_current(const Simulator& sim,
                                         const TranResult& tr,
                                         const std::string& vsource);
@@ -77,7 +79,8 @@ std::optional<double> delay_between(const std::vector<double>& times,
 /// run's bit for bit: a prefix's crossings are a prefix of the full run's, so
 /// the k-th reference crossing and the first signal crossing at or after it
 /// are fixed once both appear. It reads only the newest interval unless that
-/// interval holds a crossing of either node. `sim` must outlive the stop.
+/// interval holds a crossing of either node. A probed run must probe both
+/// nodes. `sim` must outlive the stop.
 std::function<bool(const TranResult&)> delay_decided_stop(
     const Simulator& sim, NodeId ref, double ref_level, bool ref_rising,
     NodeId sig, double sig_level, bool sig_rising, int ref_skip = 0);
@@ -93,7 +96,8 @@ double time_average(const std::vector<double>& times,
                     const std::vector<double>& wave, double t0, double t1);
 
 /// Average power delivered by the named DC supply over [t0, t1]:
-/// mean(-V * I_branch) with the SPICE branch-current sign convention.
+/// mean(-V * I_branch) with the SPICE branch-current sign convention. Needs
+/// a full recording, as tran_source_current() does.
 double average_supply_power(const Simulator& sim, const TranResult& tr,
                             const std::string& vsource, double t0, double t1);
 

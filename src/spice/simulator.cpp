@@ -17,6 +17,14 @@ SimStats& SimStats::global() {
   return stats;
 }
 
+const std::vector<double>& TranResult::trace(NodeId node) const {
+  OLP_CHECK(probed(), "trace() needs a probed transient result");
+  const auto it = std::find(probes.begin(), probes.end(), node);
+  OLP_CHECK(it != probes.end(), "node " + std::to_string(node) +
+                                    " is not among the result's probes");
+  return traces[static_cast<std::size_t>(it - probes.begin())];
+}
+
 namespace {
 
 using Entries4 = std::array<std::pair<int, int>, 4>;
@@ -722,20 +730,38 @@ TranResult Simulator::tran_attempt(Workspace& ws,
   OLP_CHECK(options.dt > 0 && options.tstop > options.dt &&
                 options.record_stride > 0,
             "transient needs dt > 0, tstop > dt and record_stride > 0");
+  for (const NodeId node : options.probes) {
+    OLP_CHECK(node > 0 && node < circuit_.node_count(),
+              "transient probes must be non-ground nodes of the circuit");
+  }
+  const int n = n_unknowns();
+  const int nn = circuit_.node_count() - 1;
+
+  TranResult result;
+  result.probes = options.probes;
+  result.traces.resize(options.probes.size());
+  // Appends the sample at time t: the full vector, or the probed voltages.
+  auto record = [&](double t, const std::vector<double>& x) {
+    result.times.push_back(t);
+    if (!result.probed()) {
+      result.samples.push_back(x);
+      return;
+    }
+    for (std::size_t j = 0; j < result.probes.size(); ++j) {
+      result.traces[j].push_back(
+          x[static_cast<std::size_t>(result.probes[j] - 1)]);
+    }
+  };
+
   if (FaultInjector::global().should_fail(FaultSite::kTranNonConvergence)) {
     if (diag_) {
       diag_->report(DiagSeverity::kWarning, "chaos",
                     fault_site_name(FaultSite::kTranNonConvergence),
                     "injected transient non-convergence");
     }
-    TranResult injected;
-    injected.ok = false;
-    injected.times.push_back(0.0);
-    injected.samples.emplace_back(static_cast<std::size_t>(n_unknowns()), 0.0);
-    return injected;
+    record(0.0, std::vector<double>(static_cast<std::size_t>(n), 0.0));
+    return result;
   }
-  const int n = n_unknowns();
-  const int nn = circuit_.node_count() - 1;
 
   // Initial state.
   std::vector<double> x;
@@ -761,9 +787,7 @@ TranResult Simulator::tran_attempt(Workspace& ws,
     }
   }
 
-  TranResult result;
-  result.times.push_back(0.0);
-  result.samples.push_back(x);
+  record(0.0, x);
 
   // Per-capacitor branch current state (for trapezoidal integration).
   std::vector<double> icap(caps_.size(), 0.0);
@@ -872,8 +896,7 @@ TranResult Simulator::tran_attempt(Workspace& ws,
     x.swap(x_new);
     ++recorded;
     if (recorded % options.record_stride == 0 || step == steps) {
-      result.times.push_back(t);
-      result.samples.push_back(x);
+      record(t, x);
       if (options.stop && options.stop(result)) {
         obs::counter_add("sim.tran.stopped");
         return finish(true, step);

@@ -68,6 +68,9 @@ struct AcResult {
 
 struct TranResult;
 
+/// A transient's stop condition (TranOptions::stop).
+using TranStop = std::function<bool(const TranResult& so_far)>;
+
 struct TranOptions {
   double tstop = 1e-9;    ///< simulation end time [s]
   double dt = 1e-12;      ///< fixed timestep [s]
@@ -88,14 +91,31 @@ struct TranOptions {
   /// t = 0 and calls it again, so it must be a pure function of the samples.
   /// A run that would have failed only after its stop fires no longer
   /// triggers the retry ladder: its result is the stopped prefix.
-  std::function<bool(const TranResult& so_far)> stop;
+  TranStop stop;
+  /// Nodes to record. Empty (the default) records the full unknown vector
+  /// at every sample; otherwise the result holds only these nodes'
+  /// voltages, in this order (TranResult::probes and traces), which is all
+  /// a caller that reads a few waveforms needs.
+  std::vector<NodeId> probes;
 };
 
 struct TranResult {
   bool ok = false;
   std::vector<double> times;
-  /// samples[k] is the full unknown vector at times[k].
+  /// samples[k] is the full unknown vector at times[k]. Empty when the
+  /// result is probed.
   std::vector<std::vector<double>> samples;
+  /// The nodes a probed result holds (TranOptions::probes); empty when it
+  /// holds full samples instead.
+  std::vector<NodeId> probes;
+  /// traces[j][k] is the voltage of probes[j] at times[k].
+  std::vector<std::vector<double>> traces;
+
+  bool probed() const { return !probes.empty(); }
+  /// The recorded voltage of `node` at every sample of a probed result.
+  /// Throws InvalidArgumentError when the result is not probed or does not
+  /// hold `node`.
+  const std::vector<double>& trace(NodeId node) const;
 };
 
 /// One real MNA system as the analyses stamp it: the value of every slot of

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# ThreadSanitizer smoke run: build the OTA flow example with
+# ThreadSanitizer smoke run: run the eval-cache stress and the RO-VCO
+# window-ladder check, build the OTA flow example with
 # -fsanitize=thread and drive it through the parallel + cached code path
 # (8 worker threads, eval cache on), then drive the batch example the same
 # way — concurrent jobs racing over the shared worker pool and cross-job
@@ -39,7 +40,7 @@ cmake -S "${src_dir}" -B "${build_dir}" \
   -DOLP_BUILD_BENCH=OFF \
   -DOLP_BUILD_EXAMPLES=ON > /dev/null
 cmake --build "${build_dir}" --target ota_layout_flow batch_flows \
-  olp_serviced eval_cache_stress -j "$(nproc)" > /dev/null
+  olp_serviced eval_cache_stress vco_ladder_stress -j "$(nproc)" > /dev/null
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "${probe}" "${tmp}"' EXIT
@@ -70,6 +71,20 @@ echo "tsan smoke: sanitized eval-cache stress reconciled exactly"
 if grep -q "ThreadSanitizer" "${stress_out}"; then
   echo "tsan smoke: ThreadSanitizer reported a race in the eval cache" >&2
   cat "${stress_out}" >&2
+  exit 1
+fi
+
+# The RO-VCO window ladder: a window running on a second thread beside the
+# caller's, a cancelled window, and an exception from a window the ladder
+# reaches, each checked bit for bit against the serial ladder.
+ladder_out="${tmp}/ladder_stdout.txt"
+TSAN_OPTIONS="${tsan_opts}" \
+  "${build_dir}/vco_ladder_stress" > "${ladder_out}" 2>&1
+echo "tsan smoke: sanitized VCO window ladder matched the serial ladder"
+
+if grep -q "ThreadSanitizer" "${ladder_out}"; then
+  echo "tsan smoke: ThreadSanitizer reported a race in the VCO ladder" >&2
+  cat "${ladder_out}" >&2
   exit 1
 fi
 

@@ -28,6 +28,7 @@
 #include <unistd.h>
 #endif
 #include "circuits/ota5t.hpp"
+#include "circuits/strongarm.hpp"
 #include "core/evaluator.hpp"
 #include "pcell/generator.hpp"
 #include "util/diag.hpp"
@@ -337,6 +338,27 @@ TEST(Chaos, FailedDelayTransientIsQuarantinedNotDefaulted) {
   EXPECT_EQ(values.at(core::MetricKind::kDelay), 0.0);
 }
 
+TEST(Chaos, FailedDecisionTransientsGiveNoComparatorOffset) {
+  // Every decision transient fails: the bisection has nothing to go on, so
+  // the offset is NaN, not the search range ("beyond range") and not a
+  // bisection biased by failures read as decisions.
+  set_log_level(LogLevel::kOff);
+  circuits::StrongArmComparator sa(t());
+  ASSERT_TRUE(sa.prepare());
+  const circuits::Realization real =
+      circuits::schematic_realization(sa.instances(), t());
+  FaultConfig config;
+  config.seed = 3;
+  config.tran_rate = 1.0;
+  double offset = 0.0;
+  {
+    ScopedFaultInjection chaos(config);
+    offset = sa.measure_offset(real, 20e-3);
+  }
+  set_log_level(LogLevel::kWarn);
+  EXPECT_TRUE(std::isnan(offset)) << offset;
+  EXPECT_GE(FaultInjector::global().fired(FaultSite::kTranNonConvergence), 1);
+}
 
 // --- service-facing chaos sites ---------------------------------------------
 

@@ -7,6 +7,7 @@
 #include "circuits/experiments.hpp"
 #include "util/logging.hpp"
 #include "util/obs.hpp"
+#include "vco_ladder_oracle.hpp"
 
 namespace olp::circuits {
 namespace {
@@ -31,6 +32,28 @@ TEST(VcoExperiment, TableVIIRangeRecovery) {
   EXPECT_EQ(conv.at("vrange_lo"), 0.1);
   EXPECT_EQ(work.at("vrange_lo"), 0.0);
   EXPECT_EQ(sch.at("vrange_lo"), 0.0);
+}
+
+TEST(VcoExperiment, TableVIISweepMatchesSerialLadder) {
+  // Every frequency() of the full Table VII sweep (six control voltages,
+  // three realizations) equals the serial reference ladder bit for bit.
+  set_log_level(LogLevel::kError);
+  RoVco vco(t());
+  ASSERT_TRUE(vco.prepare());
+  const FlowEngine engine(t(), {});
+  const Realization realizations[] = {
+      schematic_realization(vco.instances(), t()),
+      engine.run(FlowMode::kConventional, vco.instances(), vco.routed_nets(),
+                 nullptr),
+      engine.run(FlowMode::kOptimize, vco.instances(), vco.routed_nets(),
+                 nullptr)};
+  for (const Realization& real : realizations) {
+    for (const double vctrl : RoVco::default_sweep()) {
+      EXPECT_TRUE(oracle::same_bits(vco.frequency(real, vctrl),
+                                    oracle::serial_frequency(vco, real, vctrl)))
+          << "Vctrl " << vctrl;
+    }
+  }
 }
 
 /// Runs the default optimize flow with telemetry on and returns the

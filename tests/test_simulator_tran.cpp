@@ -12,6 +12,7 @@
 #include "circuits/common.hpp"
 #include "circuits/vco.hpp"
 #include "dense_lu_oracle.hpp"
+#include "spice/export.hpp"
 #include "spice/measure.hpp"
 #include "spice/simulator.hpp"
 #include "tech/technology.hpp"
@@ -346,6 +347,120 @@ TEST(Tran, RejectsNonPositiveRecordStride) {
   }
   tr.record_stride = 1;
   EXPECT_TRUE(sim.tran(tr).ok);
+}
+
+// --- probed recording --------------------------------------------------------
+
+/// Whether two waveforms are equal bit for bit.
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(TranProbes, ProbedTracesEqualTheColumnsOfAFullRecording) {
+  const Circuit c = pulsed_inverter();
+  const NodeId in = c.find_node("in");
+  const NodeId out = c.find_node("out");
+  Simulator sim(c);
+  for (const int stride : {1, 3}) {
+    TranOptions tr;
+    tr.tstop = 1e-9;
+    tr.dt = 1e-12;
+    tr.record_stride = stride;
+    const TranResult full = sim.tran(tr);
+    tr.probes = {out, in};
+    const TranResult probed = sim.tran(tr);
+    ASSERT_TRUE(full.ok && probed.ok);
+    EXPECT_FALSE(full.probed());
+    ASSERT_TRUE(probed.probed());
+    EXPECT_EQ(probed.probes, (std::vector<NodeId>{out, in}));
+    EXPECT_TRUE(probed.samples.empty());
+    EXPECT_TRUE(same_bits(probed.times, full.times)) << stride;
+    EXPECT_TRUE(same_bits(probed.trace(out), tran_waveform(sim, full, out)));
+    EXPECT_TRUE(same_bits(probed.trace(in), tran_waveform(sim, full, in)));
+    EXPECT_TRUE(same_bits(tran_waveform(sim, probed, out),
+                          tran_waveform(sim, full, out)));
+    EXPECT_TRUE(same_bits(tran_waveform(sim, probed, kGround),
+                          tran_waveform(sim, full, kGround)));
+    EXPECT_EQ(tran_to_csv(sim, probed, {"in", "out"}),
+              tran_to_csv(sim, full, {"in", "out"}));
+  }
+}
+
+TEST(TranProbes, DelayStopReadsAProbedRecording) {
+  const Circuit c = pulsed_inverter();
+  const NodeId in = c.find_node("in");
+  const NodeId out = c.find_node("out");
+  Simulator sim(c);
+  TranOptions tr;
+  tr.tstop = 1e-9;
+  tr.dt = 1e-12;
+  tr.stop = delay_decided_stop(sim, in, 0.4, true, out, 0.4, false);
+  const TranResult full = sim.tran(tr);
+  tr.probes = {in, out};
+  const TranResult probed = sim.tran(tr);
+  ASSERT_TRUE(full.ok && probed.ok);
+  EXPECT_LT(probed.times.size(), 500u);
+  EXPECT_TRUE(same_bits(probed.times, full.times));
+  const auto d_full = inverter_delay(sim, full);
+  const auto d_probed = inverter_delay(sim, probed);
+  ASSERT_TRUE(d_full && d_probed);
+  EXPECT_EQ(std::memcmp(&*d_full, &*d_probed, sizeof(double)), 0);
+
+  // A stop over a node the run does not record is refused, not misread.
+  tr.probes = {in};
+  EXPECT_THROW(sim.tran(tr), InvalidArgumentError);
+}
+
+TEST(TranProbes, ReadersOfWhatAProbedResultLacksRejectIt) {
+  Circuit c;
+  const NodeId a = c.node("a");
+  const NodeId b = c.node("b");
+  c.add_vsource("vdd", a, kGround, Waveform::dc(1.0));
+  c.add_resistor("r1", a, b, 1e3);
+  c.add_resistor("r2", b, kGround, 1e3);
+  Simulator sim(c);
+  TranOptions tr;
+  tr.tstop = 1e-9;
+  tr.dt = 10e-12;
+  tr.probes = {b};
+  const TranResult res = sim.tran(tr);
+  ASSERT_TRUE(res.ok);
+  EXPECT_NEAR(res.trace(b).back(), 0.5, 1e-9);
+  EXPECT_THROW(res.trace(a), InvalidArgumentError);
+  EXPECT_THROW(tran_waveform(sim, res, a), InvalidArgumentError);
+  EXPECT_THROW(tran_source_current(sim, res, "vdd"), InvalidArgumentError);
+  EXPECT_THROW(average_supply_power(sim, res, "vdd", 0.0, 1e-9),
+               InvalidArgumentError);
+  const TranResult full = sim.tran(TranOptions{tr.tstop, tr.dt});
+  EXPECT_THROW(full.trace(b), InvalidArgumentError);
+
+  for (const NodeId bad : {kGround, NodeId{3}}) {
+    tr.probes = {bad};
+    EXPECT_THROW(sim.tran(tr), InvalidArgumentError) << bad;
+  }
+}
+
+TEST(TranProbes, InjectedFailureKeepsTheProbedShape) {
+  Circuit c = rc_step();
+  const NodeId out = c.find_node("out");
+  Simulator sim(c);
+  TranOptions tr;
+  tr.tstop = 1e-9;
+  tr.dt = 10e-12;
+  tr.max_retries = 0;
+  tr.probes = {out};
+  FaultConfig config;
+  config.tran_rate = 1.0;
+  TranResult res;
+  {
+    ScopedFaultInjection chaos(config);
+    res = sim.tran(tr);
+  }
+  EXPECT_FALSE(res.ok);
+  EXPECT_TRUE(res.samples.empty());
+  ASSERT_EQ(res.traces.size(), 1u);
+  EXPECT_EQ(res.traces[0].size(), res.times.size());
 }
 
 TEST(TranAssembly, VcoRingStepSystemsMatchDenseOracle) {

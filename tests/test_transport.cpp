@@ -10,12 +10,14 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <istream>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "service/fd_input.hpp"
 #include "service/transport.hpp"
 #include "util/jsonl.hpp"
 
@@ -496,6 +498,60 @@ TEST(Transport, EmitOutlivesConnectionAndStopHarmlessly) {
   transport.stop();
   captured("{\"later\":2}");  // after stop
   transport.stop();           // idempotent
+}
+
+// --- FdInputBuf: a stdin buffer a signal's self-pipe can wake ---------------
+
+/// Writes all of `text` to `fd`.
+void write_all(int fd, const std::string& text) {
+  ASSERT_EQ(::write(fd, text.data(), text.size()),
+            static_cast<ssize_t>(text.size()));
+}
+
+TEST(FdInput, BufferedLinesComeBeforeAWake) {
+  int data[2], wake[2];
+  ASSERT_EQ(::pipe(data), 0);
+  ASSERT_EQ(::pipe(wake), 0);
+  FdInputBuf buf(data[0], wake[0]);
+  std::istream in(&buf);
+  // Three lines arrive in one read; the wake lands after the first is
+  // taken. The other two are already buffered and must not be stranded.
+  write_all(data[1], "a\nb\nc\n");
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, "a");
+  write_all(wake[1], "x");
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, "b");
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, "c");
+  // The buffer is dry: the next read sees the wake, not a blocked read.
+  EXPECT_FALSE(std::getline(in, line));
+  // Cleared, the stream reads on (a reload keeps serving).
+  in.clear();
+  write_all(data[1], "d\n");
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, "d");
+  // End of input is end-of-file.
+  ::close(data[1]);
+  EXPECT_FALSE(std::getline(in, line));
+  for (const int fd : {data[0], wake[0], wake[1]}) ::close(fd);
+}
+
+TEST(FdInput, WakeEndsABlockedRead) {
+  int data[2], wake[2];
+  ASSERT_EQ(::pipe(data), 0);
+  ASSERT_EQ(::pipe(wake), 0);
+  FdInputBuf buf(data[0], wake[0]);
+  std::istream in(&buf);
+  std::thread waker([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    write_all(wake[1], "x");
+  });
+  std::string line;
+  EXPECT_FALSE(std::getline(in, line));  // blocks until the wake
+  waker.join();
+  for (const int fd : {data[0], data[1], wake[0], wake[1]}) ::close(fd);
 }
 
 #else  // !OLP_TEST_POSIX_SOCKETS
